@@ -29,12 +29,19 @@ Cost ledger
 Every accrued second is also recorded as a :class:`CostEvent` with an
 exact decomposition into cost components (:data:`COMPONENTS`).  The
 ledger backs :mod:`repro.obs.explain`'s attribution, and its arithmetic
-is *exact*: phase accumulators and event components are
-:class:`fractions.Fraction` values (floats are dyadic rationals, so
-``Fraction(float)`` is lossless and rational sums are associative).
-Regrouping the ledger any way — by kernel, by pipeline, by component —
-and converting the exact sum to float reproduces ``total_seconds``
-bit for bit, which is the conservation contract the explain tests pin.
+is *exact* integer arithmetic.  Every finite float is an integer
+multiple of ``2**-1074`` (the smallest subnormal), so
+:func:`to_units` turns an accrued float into a plain ``int`` count of
+those units without loss, and int sums are exact and associative.  The
+phase and total accumulators are such ints; ``total_seconds`` is a
+float kept up to date on every accrual as ``units / 2**1074``, which
+Python rounds correctly, so it equals the float of the exact rational
+sum and reads in O(1).  Regrouping the ledger any way — by kernel, by
+pipeline, by component — and converting the exact sum to float
+reproduces ``total_seconds`` bit for bit, which is the conservation
+contract the explain tests pin.  Events keep their float seconds and
+their parts in units; the explain layer converts them to
+:class:`fractions.Fraction` only when it attributes a run.
 """
 
 from __future__ import annotations
@@ -49,11 +56,14 @@ from .specs import CpuSpec, GpuSpec
 
 __all__ = [
     "COMPONENTS",
+    "UNITS_PER_SECOND",
     "CostEvent",
     "HardwareModel",
     "ScalarCpuModel",
     "MulticoreCpuModel",
     "GpuModel",
+    "to_units",
+    "units_to_fraction",
 ]
 
 #: Cost-component buckets every accrued second is attributed to.
@@ -61,32 +71,72 @@ __all__ = [
 #: analog of a parallel region); ``comm`` is fleet collective time.
 COMPONENTS = ("launch", "compute", "memory", "atomic", "transfer", "comm")
 
-_ZERO = Fraction()
+#: Ledger units in one second: the ledger counts ``2**-1074`` s units.
+UNITS_PER_SECOND = 1 << 1074
+
+
+def to_units(seconds: float) -> int:
+    """``seconds`` as an exact integer count of ``2**-1074`` s units.
+
+    Raises ``ValueError`` for NaN and ``OverflowError`` for infinities,
+    as ``Fraction(float)`` does.
+    """
+    numerator, denominator = float(seconds).as_integer_ratio()
+    # The denominator is 2**e with e <= 1074, so this shift is exact.
+    return numerator << (1075 - denominator.bit_length())
+
+
+def units_to_fraction(units: int) -> Fraction:
+    """Ledger units as exact seconds (for the explain layer)."""
+    return Fraction(units, UNITS_PER_SECOND)
 
 
 @dataclass(frozen=True, slots=True)
 class CostEvent:
     """One accrual on a hardware model, with its exact decomposition.
 
-    ``components`` always sums to ``seconds_exact`` exactly (the
-    residual construction in :meth:`HardwareModel.account` guarantees
-    it), so any regrouping of a model's events conserves its total.
+    ``parts`` are ``(component, units)`` pairs; whatever remains of the
+    event's seconds lands on the ``residual`` component, so the event's
+    components sum to its seconds exactly by construction and any
+    regrouping of a model's events conserves its total.
     """
 
     kind: str  #: ``kernel`` | ``transfer`` | ``cpu`` | ``fleet``
     name: str
     phase: str
-    seconds_exact: Fraction
-    components: tuple[tuple[str, Fraction], ...]
+    seconds: float
+    parts: tuple[tuple[str, int], ...] = ()
+    residual: str = "compute"
     launch: KernelLaunch | None = None
 
     @property
-    def seconds(self) -> float:
-        return float(self.seconds_exact)
+    def units(self) -> int:
+        return to_units(self.seconds)
+
+    def component_units(self) -> tuple[tuple[str, int], ...]:
+        """Nonzero components in ledger units, the residual last."""
+        remaining = self.units - sum(units for _, units in self.parts)
+        components = tuple((c, units) for c, units in self.parts if units)
+        if remaining:
+            components += ((self.residual, remaining),)
+        return components
+
+    @property
+    def seconds_exact(self) -> Fraction:
+        return Fraction(self.seconds)
+
+    @property
+    def components(self) -> tuple[tuple[str, Fraction], ...]:
+        """Exact component decomposition, summing to ``seconds_exact``."""
+        return tuple(
+            (c, units_to_fraction(units)) for c, units in self.component_units()
+        )
 
     def component_seconds(self) -> dict[str, float]:
         """Component decomposition as floats (reporting only)."""
-        return {name: float(value) for name, value in self.components}
+        return {
+            c: units / UNITS_PER_SECOND for c, units in self.component_units()
+        }
 
 
 class HardwareModel(ABC):
@@ -94,8 +144,10 @@ class HardwareModel(ABC):
 
     def __init__(self) -> None:
         self.counter = WorkCounter()
-        #: Exact per-phase accumulators backing ``phase_seconds``.
-        self._phase_exact: dict[str, Fraction] = {}
+        #: Exact per-phase accumulators (ledger units).
+        self._phase_units: dict[str, int] = {}
+        self._total_units = 0
+        self._total_seconds = 0.0
         #: The cost ledger, in accrual order.
         self.events: list[CostEvent] = []
 
@@ -108,56 +160,46 @@ class HardwareModel(ABC):
     def phase_seconds(self) -> dict[str, float]:
         """Per-phase modeled seconds (floats of the exact accumulators)."""
         return {
-            phase: float(value) for phase, value in self._phase_exact.items()
+            phase: units / UNITS_PER_SECOND
+            for phase, units in self._phase_units.items()
         }
 
     @property
     def total_seconds(self) -> float:
         """Total modeled seconds accumulated so far (exact sum)."""
-        return float(sum(self._phase_exact.values(), _ZERO))
-
-    def _accrue(self, phase: str, seconds: float | Fraction) -> Fraction:
-        exact = (
-            seconds
-            if isinstance(seconds, Fraction)
-            else Fraction(float(seconds))
-        )
-        self._phase_exact[phase] = self._phase_exact.get(phase, _ZERO) + exact
-        return exact
+        return self._total_seconds
 
     def account(
         self,
         kind: str,
         name: str,
         phase: str,
-        seconds: float | Fraction,
-        parts: tuple[tuple[str, Fraction], ...] = (),
+        seconds: float,
+        parts: tuple[tuple[str, int], ...] = (),
         residual: str = "compute",
         launch: KernelLaunch | None = None,
     ) -> float:
         """Accrue ``seconds`` into ``phase`` and ledger a cost event.
 
-        ``parts`` are ``(component, exact seconds)`` pairs; whatever
-        remains of the event's exact seconds lands on the ``residual``
-        component, so the event's components sum to its seconds exactly
-        by construction.  Returns the accrued seconds as a float.
+        ``parts`` are ``(component, units)`` pairs (see
+        :func:`to_units`); whatever remains of the event's seconds lands
+        on the ``residual`` component, so the event's components sum to
+        its seconds exactly by construction.  Returns the accrued
+        seconds as a float.
         """
-        exact = self._accrue(phase, seconds)
-        remaining = exact - sum((value for _, value in parts), _ZERO)
-        components = tuple((c, value) for c, value in parts if value)
-        if remaining:
-            components += ((residual, remaining),)
+        seconds = float(seconds)
+        units = to_units(seconds)
+        total = self._total_units + units
+        # Converted before any state changes, so a total past the float
+        # range raises OverflowError and leaves the model as it was.
+        self._total_seconds = total / UNITS_PER_SECOND
+        self._total_units = total
+        phases = self._phase_units
+        phases[phase] = phases.get(phase, 0) + units
         self.events.append(
-            CostEvent(
-                kind=kind,
-                name=name,
-                phase=phase,
-                seconds_exact=exact,
-                components=components,
-                launch=launch,
-            )
+            CostEvent(kind, name, phase, seconds, parts, residual, launch)
         )
-        return float(exact)
+        return seconds
 
 
 class ScalarCpuModel(HardwareModel):
@@ -239,7 +281,7 @@ class MulticoreCpuModel(HardwareModel):
             f"cpu.{phase}",
             phase,
             seconds,
-            parts=(("launch", Fraction(float(fork_join))),),
+            parts=(("launch", to_units(fork_join)),),
             residual="compute",
         )
 
@@ -255,6 +297,10 @@ class GpuModel(HardwareModel):
     def __init__(self, spec: GpuSpec) -> None:
         super().__init__()
         self.spec = spec
+        #: The launch-overhead part every kernel event carries.
+        self._launch_parts = (
+            ("launch", to_units(spec.kernel_launch_overhead_s)),
+        )
 
     @property
     def name(self) -> str:
@@ -316,32 +362,35 @@ class GpuModel(HardwareModel):
             "atomic": launch.atomic_ops / spec.atomic_ops_per_s,
         }
 
-    def dominant_component(self, launch: KernelLaunch) -> str:
-        """The roofline component that sets this launch's time.
+    def _roofline_max(self, launch: KernelLaunch) -> tuple[str, float]:
+        """The dominant roofline component and its seconds.
 
-        Ties resolve in ``memory > compute > atomic`` order, mirroring
-        the ``max(t_mem, t_compute, t_atomic)`` in :meth:`launch_time`.
+        Ties resolve in ``memory > compute > atomic`` order.
         """
         terms = self.roofline_terms(launch)
-        return max(("memory", "compute", "atomic"), key=lambda c: terms[c])
+        dominant = max(("memory", "compute", "atomic"), key=terms.__getitem__)
+        return dominant, terms[dominant]
+
+    def dominant_component(self, launch: KernelLaunch) -> str:
+        """The roofline component that sets this launch's time."""
+        return self._roofline_max(launch)[0]
 
     def launch_time(self, launch: KernelLaunch) -> float:
         """Modeled seconds for one kernel launch (without accruing it)."""
-        terms = self.roofline_terms(launch)
-        return self.spec.kernel_launch_overhead_s + max(terms.values())
+        return self.spec.kernel_launch_overhead_s + self._roofline_max(launch)[1]
 
     def launch(self, launch: KernelLaunch) -> float:
         """Account one kernel launch; returns its modeled seconds."""
         self.counter.record_launch(launch)
-        seconds = self.launch_time(launch)
+        dominant, bound = self._roofline_max(launch)
         # Exact decomposition: the fixed launch overhead, then the
         # whole roofline max on its dominant component.
         return self.account(
             "kernel",
             launch.name,
             launch.phase,
-            seconds,
-            parts=(("launch", Fraction(self.spec.kernel_launch_overhead_s)),),
-            residual=self.dominant_component(launch),
+            self.spec.kernel_launch_overhead_s + bound,
+            parts=self._launch_parts,
+            residual=dominant,
             launch=launch,
         )

@@ -3,10 +3,11 @@
 :func:`attribute_run` regroups a model's :class:`CostEvent` ledger into
 the run -> phase -> pipeline -> kernel hierarchy, each level carrying an
 exact per-component decomposition (launch / compute / memory / atomic /
-transfer / comm).  Because the ledger's arithmetic is exact rational
-(:class:`fractions.Fraction`), every regrouping sums back to the run's
-modeled seconds *bit for bit* — the conservation contract the explain
-tests pin.
+transfer / comm).  The ledger counts exact integer units of ``2**-1074``
+seconds (:func:`~repro.hardware.cost_model.to_units`), so every
+regrouping sums back to the run's modeled seconds *bit for bit* — the
+conservation contract the explain tests pin.  Sums are taken in those
+units and handed out as exact :class:`fractions.Fraction` seconds.
 
 On top of the hierarchy three derived diagnostics are computed:
 
@@ -29,7 +30,14 @@ from fractions import Fraction
 from typing import Any
 
 from ...gpu.occupancy import occupancy_report
-from ...hardware.cost_model import COMPONENTS, CostEvent, GpuModel, HardwareModel
+from ...hardware.cost_model import (
+    COMPONENTS,
+    UNITS_PER_SECOND,
+    CostEvent,
+    GpuModel,
+    HardwareModel,
+    units_to_fraction,
+)
 from ..export import kernel_pipeline
 
 __all__ = [
@@ -109,11 +117,17 @@ class RunAttribution:
 
 
 def _accumulate(
-    table: dict[str, dict[str, Fraction]], key: str, event: CostEvent
+    table: dict[str, dict[str, int]],
+    key: str,
+    components: tuple[tuple[str, int], ...],
 ) -> None:
     bucket = table.setdefault(key, {})
-    for component, value in event.components:
-        bucket[component] = bucket.get(component, _ZERO) + value
+    for component, units in components:
+        bucket[component] = bucket.get(component, 0) + units
+
+
+def _exact(units: dict[str, int]) -> dict[str, Fraction]:
+    return {name: units_to_fraction(value) for name, value in units.items()}
 
 
 def _fusion_pairs(events: list[CostEvent]) -> list[dict[str, Any]]:
@@ -129,7 +143,7 @@ def _fusion_pairs(events: list[CostEvent]) -> list[dict[str, Any]]:
         if event.kind not in ("kernel", "fleet"):
             previous = None
             continue
-        overhead = dict(event.components).get("launch", _ZERO)
+        overhead = dict(event.component_units()).get("launch", 0)
         if previous is not None and overhead:
             key = (previous.name, event.name)
             entry = pairs.setdefault(
@@ -138,15 +152,15 @@ def _fusion_pairs(events: list[CostEvent]) -> list[dict[str, Any]]:
                     "before": key[0],
                     "after": key[1],
                     "transitions": 0,
-                    "_exact": _ZERO,
+                    "_units": 0,
                 },
             )
             entry["transitions"] += 1
-            entry["_exact"] += overhead
+            entry["_units"] += overhead
         previous = event
-    ordered = sorted(pairs.values(), key=lambda e: -e["_exact"])
+    ordered = sorted(pairs.values(), key=lambda e: -e["_units"])
     for entry in ordered:
-        entry["headroom_seconds"] = float(entry.pop("_exact"))
+        entry["headroom_seconds"] = entry.pop("_units") / UNITS_PER_SECOND
     return ordered
 
 
@@ -173,7 +187,7 @@ def _cache_savings(model: HardwareModel) -> dict[str, Any]:
     missed_flops = sum(l.flops for l in launches)
     missed_bytes = sum(l.gmem_bytes for l in launches)
     missed_seconds = sum(
-        float(e.seconds_exact)
+        e.seconds
         for e in model.events
         if e.kind in ("kernel", "fleet") and e.name == "compute_l.distances"
     )
@@ -241,12 +255,12 @@ def _occupancy_rollup(
 def attribute_run(model: HardwareModel) -> RunAttribution:
     """Attribute a model's cost ledger; exact at every level."""
     kernel_table: dict[str, KernelAttribution] = {}
-    phase_table: dict[str, dict[str, Fraction]] = {}
-    pipeline_table: dict[str, dict[str, Fraction]] = {}
-    component_table: dict[str, Fraction] = {}
-    total = _ZERO
+    phase_table: dict[str, dict[str, int]] = {}
+    pipeline_table: dict[str, dict[str, int]] = {}
+    component_table: dict[str, int] = {}
+    total = 0
     for event in model.events:
-        total += event.seconds_exact
+        total += event.units
         pipeline = _event_pipeline(event)
         entry = kernel_table.get(event.name)
         if entry is None:
@@ -258,21 +272,25 @@ def attribute_run(model: HardwareModel) -> RunAttribution:
                 exact={},
             )
         entry.calls += 1
-        for component, value in event.components:
-            entry.exact[component] = entry.exact.get(component, _ZERO) + value
+        components = event.component_units()
+        for component, units in components:
+            entry.exact[component] = entry.exact.get(component, 0) + units
             component_table[component] = (
-                component_table.get(component, _ZERO) + value
+                component_table.get(component, 0) + units
             )
-        _accumulate(phase_table, event.phase, event)
-        _accumulate(pipeline_table, pipeline, event)
+        _accumulate(phase_table, event.phase, components)
+        _accumulate(pipeline_table, pipeline, components)
+    # The sums above are in ledger units; hand them out as exact seconds.
+    for entry in kernel_table.values():
+        entry.exact = _exact(entry.exact)
     kernels = sorted(kernel_table.values(), key=lambda k: -k.seconds_exact)
     return RunAttribution(
         model_name=model.name,
-        total_exact=total,
+        total_exact=units_to_fraction(total),
         kernels=kernels,
-        phase_exact=phase_table,
-        pipeline_exact=pipeline_table,
-        component_exact=component_table,
+        phase_exact={k: _exact(v) for k, v in phase_table.items()},
+        pipeline_exact={k: _exact(v) for k, v in pipeline_table.items()},
+        component_exact=_exact(component_table),
         fusion_pairs=_fusion_pairs(model.events),
         cache=_cache_savings(model),
         occupancy=_occupancy_rollup(model, kernels),

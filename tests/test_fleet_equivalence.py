@@ -10,6 +10,7 @@ fleets, and even when faults strike a single shard mid-run.
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from repro.core.api import BACKENDS
 from repro.data.normalize import minmax_normalize
 from repro.data.synthetic import generate_subspace_data
 from repro.fleet import Fleet, FleetModel, default_fleet, fleet_report, mixed_fleet
+from repro.fleet.device import SHARDED_KERNELS, FleetDevice
 from repro.hardware.specs import GTX_1660_TI, RTX_3090
+from repro.obs import attribute_run
+from repro.obs.tracer import NULL_TRACER
 from repro.params import ProclusParams
 from repro.resilience import ResilientRunner, RetryPolicy
 from repro.resilience.faults import FaultInjector, use_injector
@@ -200,3 +204,96 @@ class TestFleetValidation:
         assert fleet.shard_plan(len(data)).counts[1] == 0
         _, result = run_fleet(data, params, "gpu-fast", fleet)
         assert_identical(result, solo["gpu-fast"])
+
+
+#: Uneven explicit weights: proportional splits of non-integral work are
+#: not exact, which sends ``_split_work`` down its fallback.
+UNEVEN = Fleet(specs=(GTX_1660_TI,) * 3, weights=(1.0, 2.0, 4.0))
+BOOK_FLEETS = [default_fleet(d) for d in DEVICE_COUNTS] + [UNEVEN]
+BOOK_IDS = [f"D{d}" for d in DEVICE_COUNTS] + ["uneven"]
+
+
+def _ledger_sizes(device: FleetDevice) -> tuple[int, int, list[int]]:
+    model = device.model
+    return (
+        len(model.events),
+        len(model.logical.events),
+        [len(shard.events) for shard in model.shards],
+    )
+
+
+def assert_books_conserve(model: FleetModel) -> None:
+    """Fleet, logical and every shard ledger re-sum to their totals ==."""
+    for book in (model, model.logical, *model.shards):
+        attr = attribute_run(book)
+        assert isinstance(attr.total_exact, Fraction)
+        assert all(isinstance(v, Fraction) for v in attr.component_exact.values())
+        assert all(isinstance(k.seconds_exact, Fraction) for k in attr.kernels)
+        assert float(attr.total_exact) == book.total_seconds
+        regrouped = sum((k.seconds_exact for k in attr.kernels), Fraction(0))
+        assert float(regrouped) == book.total_seconds
+        assert float(sum(attr.component_exact.values(), Fraction(0))) == (
+            book.total_seconds
+        )
+        for phase, seconds in book.phase_seconds.items():
+            bucket = attr.phase_exact[phase]
+            assert float(sum(bucket.values(), Fraction(0))) == seconds
+
+
+class TestFleetBooks:
+    """What one fleet launch writes, and that every book conserves."""
+
+    @pytest.mark.parametrize("fleet", BOOK_FLEETS, ids=BOOK_IDS)
+    def test_each_launch_writes_one_event_per_book(
+        self, data, params, fleet, monkeypatch
+    ):
+        original = FleetDevice.launch
+        launches = []
+
+        def spy(device, name, *args, **kwargs):
+            fleet_before, logical_before, shards_before = _ledger_sizes(device)
+            seconds = original(device, name, *args, **kwargs)
+            fleet_after, logical_after, shards_after = _ledger_sizes(device)
+            assert fleet_after - fleet_before == 1, name
+            assert logical_after - logical_before == 1, name
+            written = [a - b for a, b in zip(shards_after, shards_before)]
+            active = [count > 0 for count in device.plan.counts]
+            root = active.index(True)
+            if name in SHARDED_KERNELS:
+                assert written == [int(flag) for flag in active], name
+            else:
+                assert written == [int(i == root) for i in range(len(active))]
+            launches.append(name)
+            return seconds
+
+        monkeypatch.setattr(FleetDevice, "launch", spy)
+        engine, _ = run_fleet(data, params, "gpu-fast", fleet)
+        assert launches
+        assert any(name in SHARDED_KERNELS for name in launches)
+        assert any(name not in SHARDED_KERNELS for name in launches)
+        assert_books_conserve(engine.model)
+
+    def test_non_integral_split_books(self):
+        """Direct launches with fractional work take the proportional
+        fallback, whose shares do not sum back exactly (so the logical
+        book cannot be rebuilt from the shards); every book still
+        conserves."""
+        model = FleetModel(UNEVEN, GTX_1660_TI)
+        device = FleetDevice(UNEVEN, model, NULL_TRACER, UNEVEN.shard_plan(1000))
+        device.configure_collectives(
+            reduce_bytes={"assign_points": 4096.0},
+            bcast_bytes={"assign_points": 2048.0},
+        )
+        flops = 1000.5
+        counts = device.plan.counts
+        split = FleetDevice._split_work(flops, counts)
+        assert split == tuple(flops * c / sum(counts) for c in counts)
+        assert sum(split) != flops
+        for name in ("assign_points", "greedy.distances", "assign_points"):
+            device.launch(name, "iterative", 64, 256, flops=flops,
+                          gmem_bytes=8192.0)
+        assert len(model.events) == len(model.logical.events) == 3
+        assert [len(shard.events) for shard in model.shards] == [3, 2, 2]
+        assert model.counter.get("fleet.allreduce_steps") == 1
+        assert model.counter.get("fleet.broadcast_steps") == 1
+        assert_books_conserve(model)
