@@ -76,6 +76,10 @@ class ShardDevice(Device):
     ) -> None:
         super().__init__(spec, model=model, tracer=tracer)
         self.index = index
+        #: Seconds this member's clock runs ahead of its own modeled
+        #: total (barrier waits, speculative wins).  Kept apart from the
+        #: trace offset so modeled time does not depend on tracing.
+        self.lag = 0.0
 
     def _pipeline(self, name: str) -> str:
         base = name.split("@", 1)[0]
@@ -198,9 +202,7 @@ class FleetDevice:
     # Clocks
     # ------------------------------------------------------------------
     def _elapsed(self, shard: ShardDevice) -> float:
-        return (
-            shard.clock_offset - self.clock_offset + shard.model.total_seconds
-        )
+        return shard.lag + shard.model.total_seconds
 
     def _fleet_elapsed(self) -> float:
         if not self._active:
@@ -231,9 +233,8 @@ class FleetDevice:
                     clock="modeled",
                 )
             self.model.sync_seconds[shard.index] += wait
-            shard.clock_offset = (
-                self.clock_offset + target - shard.model.total_seconds
-            )
+            shard.lag = target - shard.model.total_seconds
+            shard.clock_offset = self.clock_offset + shard.lag
         counter = self.model.counter
         counter.add("fleet.comm_bytes", nbytes)
         counter.add("fleet.comm_seconds", seconds)
@@ -480,10 +481,8 @@ class FleetDevice:
                 "fleet.speculative_saved_seconds",
                 straggler_done - backup_done,
             )
-            straggler.clock_offset = (
-                self.clock_offset + backup_done
-                - straggler.model.total_seconds
-            )
+            straggler.lag = backup_done - straggler.model.total_seconds
+            straggler.clock_offset = self.clock_offset + straggler.lag
 
     @property
     def total_seconds(self) -> float:

@@ -206,6 +206,8 @@ class Tracer:
         self.kernel_events: list[KernelEvent] = []
         self.counter_samples: list[CounterSample] = []
         self.metrics = MetricsRegistry()
+        #: Latest modeled-clock end over ``kernel_events``.
+        self._modeled_end = 0.0
         self._lock = threading.Lock()
         self._next_id = 1
         self._local = threading.local()
@@ -296,6 +298,8 @@ class Tracer:
         )
         with self._lock:
             self.kernel_events.append(event)
+            if clock == "modeled" and start + duration > self._modeled_end:
+                self._modeled_end = start + duration
         recorder = current_recorder()
         if recorder is not None:
             recorder.record_kernel(event)
@@ -307,16 +311,10 @@ class Tracer:
         device created mid-trace (e.g. the second setting of a study)
         shifts its events by this offset so successive device timelines
         concatenate instead of overlapping on the pipeline tracks.
+        :meth:`kernel` keeps it as a running maximum, so reading it does
+        not rescan the recorded events.
         """
-        with self._lock:
-            return max(
-                (
-                    event.start + event.duration
-                    for event in self.kernel_events
-                    if event.clock == "modeled"
-                ),
-                default=0.0,
-            )
+        return self._modeled_end
 
     def counter(self, track: str, value: float, ts: float) -> None:
         """Record one sample of a counter track (device clock)."""

@@ -108,13 +108,6 @@ class ResilientOutcome:
         return any(event.kind == "degrade" for event in self.events)
 
 
-def _forward_resilience(event: "ResilienceEvent") -> None:
-    """Mirror one recovery action into the ambient flight recorder."""
-    recorder = current_recorder()
-    if recorder is not None:
-        recorder.record_resilience(event.as_dict())
-
-
 def _snapshot_shared(shared: SharedStudyState | None) -> dict[str, Any] | None:
     """Copy the mutable parts of a shared study state."""
     if shared is None:
@@ -403,18 +396,12 @@ class ResilientRunner:
             detail=detail,
             to_rung=to_rung,
         )
-        events.append(event)
-        _forward_resilience(event)
-        with obs.span(
-            "reshard", category="resilience",
-            rung=event.rung, to_rung=to_rung,
-            error_type=event.error_type, devices_lost=newly_lost,
-        ):
-            pass
-        if obs.enabled:
-            obs.metrics.counter("fleet.recovery.reshards").inc()
-            obs.metrics.counter("fleet.recovery.devices_lost").inc(newly_lost)
-            obs.metrics.counter(f"resilience.faults.{error_class.value}").inc()
+        ResilientRunner._emit(
+            obs, events, event,
+            {"fleet.recovery.reshards": 1,
+             "fleet.recovery.devices_lost": newly_lost},
+            to_rung=to_rung, devices_lost=newly_lost,
+        )
         return event
 
     @staticmethod
@@ -448,18 +435,10 @@ class ResilientRunner:
             detail=str(error),
             backoff_s=backoff,
         )
-        events.append(event)
-        _forward_resilience(event)
-        with obs.span(
-            "retry", category="resilience",
-            rung=event.rung, attempt=attempt,
-            error_type=event.error_type, backoff_s=backoff,
-        ):
-            if backoff > 0.0:
-                time.sleep(backoff)
-        if obs.enabled:
-            obs.metrics.counter("resilience.retries").inc()
-            obs.metrics.counter(f"resilience.faults.{error_class.value}").inc()
+        self._emit(
+            obs, events, event, {"resilience.retries": 1},
+            attempt=attempt, backoff_s=backoff,
+        )
 
     @staticmethod
     def _record_degrade(
@@ -475,17 +454,36 @@ class ResilientRunner:
             detail=str(error),
             to_rung=next_step.describe(),
         )
+        ResilientRunner._emit(
+            obs, events, event, {"resilience.degradations": 1},
+            to_rung=event.to_rung, error_class=event.error_class,
+        )
+
+    @staticmethod
+    def _emit(
+        obs, events: list, event: ResilienceEvent,
+        counters: "dict[str, float]", **attrs: Any,
+    ) -> None:
+        """Record one recovery action: log, recorder, span, counters.
+
+        The span carries ``rung``, ``error_type`` and ``attrs``; a
+        retry's backoff is slept inside it.  Every action also counts
+        its fault class under ``resilience.faults.<class>``.
+        """
         events.append(event)
-        _forward_resilience(event)
+        recorder = current_recorder()
+        if recorder is not None:
+            recorder.record_resilience(event.as_dict())
         with obs.span(
-            "degrade", category="resilience",
-            rung=event.rung, to_rung=event.to_rung,
-            error_type=event.error_type, error_class=event.error_class,
+            event.kind, category="resilience",
+            rung=event.rung, error_type=event.error_type, **attrs,
         ):
-            pass
+            if event.backoff_s > 0.0:
+                time.sleep(event.backoff_s)
         if obs.enabled:
-            obs.metrics.counter("resilience.degradations").inc()
-            obs.metrics.counter(f"resilience.faults.{error_class.value}").inc()
+            for name, amount in counters.items():
+                obs.metrics.counter(name).inc(amount)
+            obs.metrics.counter(f"resilience.faults.{event.error_class}").inc()
 
 
 def resilient_fit(

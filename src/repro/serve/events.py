@@ -15,23 +15,41 @@ import threading
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
-__all__ = ["EVENT_KINDS", "ServeEvent", "ServeLog"]
+__all__ = ["EVENT_COUNTERS", "EVENT_KINDS", "ServeEvent", "ServeLog"]
 
-#: Every event kind the service emits, in rough lifecycle order.
-EVENT_KINDS = (
-    "submit",      #: request arrived
-    "cache_hit",   #: answered immediately from the result cache
-    "dedupe",      #: attached to an identical queued job
-    "reject",      #: admission control refused it (detail = reason)
-    "admit",       #: enqueued
-    "coalesce",    #: a group of queued jobs merged (detail = group size)
-    "start",       #: job began executing
-    "complete",    #: job finished successfully
-    "fail",        #: job raised
-    "evict",       #: result cache evicted an entry (LRU)
-    "device_down",       #: a fleet member was lost/quarantined (detail = tag)
-    "device_recovered",  #: a fleet member was readmitted (detail = tag)
-)
+#: Every event kind the service emits, in rough lifecycle order, with
+#: the counters each adds one to.  A ``{detail}`` name expands to the
+#: event's detail and is skipped when the detail is empty.  A request
+#: that misses the cache ends in exactly one of dedupe, reject or admit.
+EVENT_COUNTERS: dict[str, tuple[str, ...]] = {
+    #: request arrived
+    "submit": ("serve.requests",),
+    #: answered immediately from the result cache
+    "cache_hit": ("serve.cache.hits",),
+    #: attached to an identical queued job
+    "dedupe": ("serve.cache.misses", "serve.deduped"),
+    #: admission control refused it (detail = reason)
+    "reject": (
+        "serve.cache.misses", "serve.rejected", "serve.rejected.{detail}",
+    ),
+    #: enqueued
+    "admit": ("serve.cache.misses",),
+    #: a group of queued jobs merged (detail = group size)
+    "coalesce": ("serve.groups",),
+    #: job began executing
+    "start": (),
+    #: job finished successfully
+    "complete": ("serve.executed", "serve.completed"),
+    #: job raised
+    "fail": ("serve.failed",),
+    #: result cache evicted an entry (LRU)
+    "evict": ("serve.cache.evictions",),
+    #: a fleet member was lost/quarantined (detail = tag)
+    "device_down": ("fleet.quarantined",),
+    #: a fleet member was readmitted (detail = tag)
+    "device_recovered": ("fleet.readmitted",),
+}
+EVENT_KINDS = tuple(EVENT_COUNTERS)
 
 
 @dataclass(slots=True)

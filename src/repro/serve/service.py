@@ -51,7 +51,7 @@ from ..resilience.runner import ResilientRunner
 from ..result import RunStats
 from ..rng import RandomSource
 from .cache import ResultCache
-from .events import ServeEvent, ServeLog
+from .events import EVENT_COUNTERS, ServeEvent, ServeLog
 from .registry import DatasetRegistry
 from .request import ClusterRequest, Job, JobHandle
 from .scheduler import JobScheduler, estimate_device_bytes, estimate_shard_bytes
@@ -89,10 +89,14 @@ class ClusterService:
         Merge share-key-compatible queued requests into groups
         (disable to measure the naive baseline).
     tracer:
-        Where spans/metrics go.  Defaults to the ambient tracer when
-        one is installed, else a private always-on
-        :class:`~repro.obs.tracer.Tracer` so ``serve.*`` metrics are
-        always recorded.
+        Where spans and metrics go.  Defaults to the ambient tracer when
+        one is installed.  Otherwise the service keeps a private
+        disabled :class:`~repro.obs.tracer.Tracer`: its registry still
+        collects every ``serve.*``, ``fleet.*`` and run counter, but no
+        span or kernel event is kept.  Each group then runs under a
+        tracer that lives for that group only and shares the registry,
+        so a long-lived service holds no trace and an armed flight
+        recorder still receives every span and kernel.
     monitor_dir:
         When set, the service writes live monitoring output there via a
         :class:`~repro.obs.monitor.ServiceMonitor` — one structured
@@ -145,7 +149,7 @@ class ClusterService:
             self.obs = tracer
         else:
             ambient = current_tracer()
-            self.obs = ambient if ambient.enabled else Tracer()
+            self.obs = ambient if ambient.enabled else Tracer(enabled=False)
         self.registry = DatasetRegistry()
         self.cache = ResultCache(cache_entries)
         self.fleet = fleet
@@ -273,17 +277,14 @@ class ClusterService:
             handle = JobHandle(request, job_id)
             handle.submitted_at = self._clock()
             self._event("submit", job_id, request)
-            self.obs.metrics.counter("serve.requests").inc()
 
             cached = self.cache.get(request.cache_key)
             if cached is not None:
                 handle.cached = True
                 handle._resolve(cached, self._clock())
                 self._event("cache_hit", job_id, request)
-                self.obs.metrics.counter("serve.cache.hits").inc()
                 self._observe_latency(handle)
                 return handle
-            self.obs.metrics.counter("serve.cache.misses").inc()
 
             twin = self.scheduler.find_queued(request.cache_key)
             if twin is not None:
@@ -293,7 +294,6 @@ class ClusterService:
                     "dedupe", job_id, request,
                     detail=f"attached to job {twin.job_id}",
                 )
-                self.obs.metrics.counter("serve.deduped").inc()
                 return handle
 
             n, d = dataset.shape
@@ -317,9 +317,6 @@ class ClusterService:
             except ReproError as error:
                 reason = getattr(error, "reason", "")
                 self._event("reject", job_id, request, detail=reason)
-                self.obs.metrics.counter("serve.rejected").inc()
-                if reason:
-                    self.obs.metrics.counter(f"serve.rejected.{reason}").inc()
                 raise
             self.scheduler.push(job)
             self._event("admit", job_id, request)
@@ -395,8 +392,7 @@ class ClusterService:
             )
         self._quarantined.add(index)
         self.scheduler.set_device_capacity(index, 0)
-        self.obs.metrics.counter("fleet.quarantined").inc()
-        self._device_event("device_down", index, reason)
+        self._event("device_down", detail=reason, device=f"dev{index}")
         return True
 
     def readmit_device(self, index: int) -> bool:
@@ -414,8 +410,7 @@ class ClusterService:
         self.scheduler.set_device_capacity(
             index, max(0, self.fleet.specs[index].usable_bytes)
         )
-        self.obs.metrics.counter("fleet.readmitted").inc()
-        self._device_event("device_recovered", index)
+        self._event("device_recovered", device=f"dev{index}")
         return True
 
     @property
@@ -431,29 +426,6 @@ class ClusterService:
                 f"device index {index} out of range for "
                 f"{self.fleet.num_devices} fleet members"
             )
-
-    def _device_event(self, kind: str, index: int, reason: str = "") -> None:
-        """Record a device lifecycle event (no request attached)."""
-        tag = f"dev{index}"
-        event = ServeEvent(
-            ts=self._clock(),
-            kind=kind,
-            detail=tag if not reason else f"{tag}: {reason}",
-            queued=self.scheduler.depth,
-            running=self._running,
-        )
-        with self.obs.span(
-            f"serve.{kind}", category="serve", device=tag, detail=reason,
-        ) as span:
-            event.span_id = span.span_id
-        self.log.record(event)
-        if self.monitor is not None:
-            # The SLO tracker keys availability/MTTR on the device tag.
-            self.monitor.on_event(
-                {**event.as_dict(), "detail": tag}
-            )
-        if self.recorder is not None:
-            self.recorder.record_serve(event.as_dict())
 
     def record_violations(self, count: int = 1) -> None:
         """Report determinism violations found by an external oracle.
@@ -540,10 +512,7 @@ class ClusterService:
                 self._event(
                     "coalesce", group[0].job_id, leader,
                     detail=f"{len(group)} jobs share one initialization",
-                )
-                self.obs.metrics.counter("serve.groups").inc()
-                self.obs.metrics.counter("serve.coalesced").inc(
-                    len(group) - 1
+                    amounts={"serve.coalesced": len(group) - 1},
                 )
             for job in group:
                 self._event("start", job.job_id, job.request)
@@ -560,7 +529,14 @@ class ClusterService:
                     engine_kwargs=engine_kwargs,
                     fingerprint=leader.fingerprint, pinned=True,
                 )
-            with use_tracer(self.obs), use_recorder(self.recorder), \
+            # Without a caller's trace the group's spans and kernels
+            # live only as long as the group (the recorder's rings
+            # still see them); counters land in the service registry.
+            tracer = self.obs
+            if not tracer.enabled:
+                tracer = Tracer()
+                tracer.metrics = self.obs.metrics
+            with use_tracer(tracer), use_recorder(self.recorder), \
                     use_injector(self.injector), \
                     use_correlation(f"job-{group[0].job_id}"):
                 if len(group) == 1:
@@ -584,7 +560,6 @@ class ClusterService:
                     "fail", job.job_id, job.request,
                     detail=f"{type(error).__name__}: {error}",
                 )
-                self.obs.metrics.counter("serve.failed").inc()
                 for handle in job.handles:
                     handle._fail(error, now)
             if self.recorder is not None and not self.recorder.dumped_error(
@@ -608,28 +583,18 @@ class ClusterService:
             self.scheduler.observe(
                 job.request.backend, stats.modeled_seconds
             )
-            self.obs.metrics.counter("serve.executed").inc()
-            self.obs.metrics.counter("serve.device_seconds").inc(
-                stats.modeled_seconds
-            )
-            comm_seconds = stats.counters.get("fleet.comm_seconds", 0.0)
-            if comm_seconds > 0.0:
-                self.obs.metrics.counter("fleet.comm_seconds").inc(
-                    comm_seconds
-                )
             for evicted in self.cache.put(job.cache_key, result):
                 self._event(
                     "evict", -1, job.request,
                     detail=f"lru evicted {evicted[0][:12]}...",
                 )
-                self.obs.metrics.counter("serve.cache.evictions").inc()
             now = self._clock()
             self._event(
                 "complete", job.job_id, job.request,
                 detail=f"{stats.modeled_seconds * 1e3:.3f}ms modeled, "
                        f"attempts={outcome.attempts}",
+                amounts={"serve.device_seconds": stats.modeled_seconds},
             )
-            self.obs.metrics.counter("serve.completed").inc()
             for handle in job.handles:
                 handle._resolve(result, now)
                 self._observe_latency(handle)
@@ -728,12 +693,13 @@ class ClusterService:
         docstring).
         """
         leader = group[0].request
-        with self.obs.span(
+        obs = current_tracer()
+        with obs.span(
             "coalesced_group", category="serve",
             backend=leader.backend, jobs=len(group),
         ):
             rng = RandomSource(leader.seed)
-            with self.obs.span("shared_state", category="serve"):
+            with obs.span("shared_state", category="serve"):
                 shared = build_solo_shared_state(data, leader.params, rng)
             post_init_state = rng.get_state()
             outcomes = []
@@ -759,31 +725,47 @@ class ClusterService:
         return time.perf_counter() - self._epoch
 
     def _event(
-        self, kind: str, job_id: int, request: ClusterRequest,
-        detail: str = "",
+        self, kind: str, job_id: int = -1,
+        request: ClusterRequest | None = None, detail: str = "",
+        device: str = "", amounts: "dict[str, float] | None" = None,
     ) -> None:
+        """Emit one service event: log, span, counters, monitor, recorder.
+
+        A device event names its fleet member in ``device`` and carries
+        no request.  ``amounts`` adds measured quantities to counters on
+        top of the kind's :data:`~repro.serve.events.EVENT_COUNTERS`.
+        """
         event = ServeEvent(
-            ts=self._clock(),
-            kind=kind,
-            job_id=job_id,
-            fingerprint=request.fingerprint,
-            backend=request.backend,
-            k=request.params.k,
-            l=request.params.l,
-            queued=self.scheduler.depth,
-            running=self._running,
+            ts=self._clock(), kind=kind, job_id=job_id,
+            queued=self.scheduler.depth, running=self._running,
             detail=detail,
         )
-        with self.obs.span(
-            f"serve.{kind}", category="serve",
-            job_id=job_id, backend=request.backend,
-            k=request.params.k, l=request.params.l,
-            detail=detail,
-        ) as span:
+        attrs = {"detail": detail}
+        if request is not None:
+            event.fingerprint = request.fingerprint
+            event.backend = request.backend
+            event.k, event.l = request.params.k, request.params.l
+            attrs.update(job_id=job_id, backend=request.backend,
+                         k=event.k, l=event.l)
+        if device:
+            attrs["device"] = device
+            event.detail = f"{device}: {detail}" if detail else device
+        with self.obs.span(f"serve.{kind}", category="serve", **attrs) as span:
             event.span_id = span.span_id
+        metrics = self.obs.metrics
+        for name in EVENT_COUNTERS[kind]:
+            if "{detail}" not in name:
+                metrics.counter(name).inc()
+            elif detail:
+                metrics.counter(name.format(detail=detail)).inc()
+        for name, amount in (amounts or {}).items():
+            metrics.counter(name).inc(amount)
         self.log.record(event)
         if self.monitor is not None:
-            self.monitor.on_event(event)
+            # The SLO tracker keys availability/MTTR on the device tag.
+            self.monitor.on_event(
+                {**event.as_dict(), "detail": device} if device else event
+            )
         if self.recorder is not None:
             self.recorder.record_serve(
                 event.as_dict(),

@@ -138,6 +138,24 @@ class TestShardEquivalence:
         # Collectives are barriers: somebody waited at them.
         assert sum(entry["sync_seconds"] for entry in report["devices"]) > 0.0
 
+    def test_trace_clock_offset_leaves_modeled_time_alone(self, data, params):
+        """A device created mid-trace starts its timeline late; the
+        shift must not leak into the barrier arithmetic."""
+        from repro.obs import Tracer, use_tracer
+
+        engine, plain = run_fleet(data, params, "gpu-fast", default_fleet(3))
+        tracer = Tracer()
+        tracer.kernel("earlier", "gpu0:compute", "setup", 0.0, 0.123456789)
+        with use_tracer(tracer):
+            traced_engine, traced = run_fleet(
+                data, params, "gpu-fast", default_fleet(3)
+            )
+        assert traced.stats.modeled_seconds == plain.stats.modeled_seconds
+        assert traced.stats.counters == plain.stats.counters
+        assert (
+            fleet_report(traced_engine.model) == fleet_report(engine.model)
+        )
+
 
 class TestFaultedShards:
     """Faults on one shard must not change the answer."""

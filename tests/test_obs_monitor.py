@@ -244,14 +244,14 @@ class TestReaderSide:
 class TestServiceIntegration:
     """ClusterService wired to a monitor directory."""
 
-    def _run_service(self, tmp_path, violations: int = 0):
+    def _run_service(self, tmp_path, violations: int = 0, tracer=None):
         import numpy as np
 
         from repro.serve import ClusterService
 
         rng = np.random.default_rng(0)
         data = rng.normal(size=(400, 6))
-        service = ClusterService(monitor_dir=tmp_path / "mon")
+        service = ClusterService(monitor_dir=tmp_path / "mon", tracer=tracer)
         handle = service.submit(data, backend="gpu-fast", k=3, l=3, seed=0)
         handle.result(timeout=60)
         service.drain()
@@ -267,7 +267,9 @@ class TestServiceIntegration:
         assert health["service"]["counters"]["serve.requests"] >= 1
 
     def test_events_logged_with_span_ids(self, tmp_path):
-        self._run_service(tmp_path)
+        from repro.obs import Tracer
+
+        self._run_service(tmp_path, tracer=Tracer())
         records = read_monitor_events(tmp_path / "mon")
         kinds = [record["kind"] for record in records]
         assert "submit" in kinds and "complete" in kinds

@@ -179,6 +179,51 @@ class TestKernelEvents:
         )
 
 
+def _scanned_offset(tracer: Tracer) -> float:
+    """The device offset as a full scan of the recorded events."""
+    return max(
+        (
+            event.start + event.duration
+            for event in tracer.kernel_events
+            if event.clock == "modeled"
+        ),
+        default=0.0,
+    )
+
+
+class TestDeviceOffset:
+    def test_empty_tracer_offset_is_zero(self):
+        tracer = Tracer()
+        assert tracer.device_offset() == _scanned_offset(tracer) == 0.0
+
+    def test_running_max_equals_a_scan_of_mixed_clocks(self):
+        import random
+
+        rng = random.Random(3)
+        tracer = Tracer()
+        for index in range(200):
+            clock = rng.choice(("modeled", "wall"))
+            # Wall events run far past the modeled ones and must not
+            # move the offset; modeled ends go up and down.
+            scale = 100.0 if clock == "wall" else 1.0
+            tracer.kernel(
+                f"k{index}", "compute_l", "compute_l",
+                rng.random() * scale, rng.random() * scale, clock=clock,
+            )
+            assert tracer.device_offset() == _scanned_offset(tracer)
+        assert 0.0 < tracer.device_offset() <= 2.0
+
+    def test_wall_only_events_leave_the_offset_at_zero(self):
+        tracer = Tracer()
+        tracer.kernel("k", "compute_l", "compute_l", 5.0, 1.0, clock="wall")
+        assert tracer.device_offset() == _scanned_offset(tracer) == 0.0
+
+    def test_disabled_tracer_records_no_offset(self):
+        tracer = Tracer(enabled=False)
+        tracer.kernel("k", "compute_l", "compute_l", 5.0, 1.0)
+        assert tracer.device_offset() == 0.0
+
+
 class TestDisabledOverhead:
     """Satellite: pin the <=2% disabled-overhead claim of the tracer."""
 

@@ -215,3 +215,53 @@ class TestDeterminismUnderFaults:
         # A later, injector-free run is unaffected.
         again = proclus(data, backend="gpu-fast", params=small_params, seed=0)
         assert_identical(again, reference)
+
+
+class TestRecoveryCounters:
+    """Each recovery action is counted once on the ambient tracer."""
+
+    def test_retry_and_degrade_count_themselves_and_their_fault(
+        self, small_dataset, small_params
+    ):
+        from repro.obs import Tracer, use_tracer
+
+        data, _ = small_dataset
+        tracer = Tracer()
+        runner = ResilientRunner(RetryPolicy(backoff_base=0.001))
+        with use_tracer(tracer):
+            with use_injector(FaultInjector(["transient#2"])):
+                retried = runner.fit(
+                    data, backend="gpu-fast", params=small_params, seed=0
+                )
+            with use_injector(FaultInjector(["oom#1"])):
+                degraded = runner.fit(
+                    data, backend="gpu-fast", params=small_params, seed=0
+                )
+        assert [e.kind for e in retried.events] == ["retry"]
+        assert [e.kind for e in degraded.events] == ["degrade"]
+        counters = tracer.metrics.as_dict()["counters"]
+        assert counters["resilience.retries"] == 1
+        assert counters["resilience.degradations"] == 1
+        assert counters["resilience.faults.transient"] == 1
+        assert counters["resilience.faults.capacity"] == 1
+        [retry] = tracer.find_spans("retry")
+        assert retry.attrs["backoff_s"] == retried.events[0].backoff_s > 0
+        # The backoff is slept inside the retry span.
+        assert retry.duration >= retried.events[0].backoff_s
+        [degrade] = tracer.find_spans("degrade")
+        assert degrade.attrs["to_rung"] == "gpu-fast(dist_chunks=2)"
+        assert degrade.attrs["error_class"] == "capacity"
+
+    def test_untraced_recovery_touches_no_registry(
+        self, small_dataset, small_params
+    ):
+        from repro.obs import NULL_TRACER
+
+        data, _ = small_dataset
+        before = NULL_TRACER.metrics.as_dict()
+        with use_injector(FaultInjector(["transient#2"])):
+            outcome = resilient_fit(
+                data, backend="gpu-fast", params=small_params, seed=0
+            )
+        assert [e.kind for e in outcome.events] == ["retry"]
+        assert NULL_TRACER.metrics.as_dict() == before

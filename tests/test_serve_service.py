@@ -300,3 +300,163 @@ class TestClusterService:
                 data=data, backend="fast",
                 params=ProclusParams(k=4, l=3, a=30, b=5),
             )
+
+
+def _scripted_run(service, data):
+    """One pass over every event kind on a 1-worker fleet service.
+
+    Holding the service lock while submitting keeps the worker from
+    popping, so the dedupe, coalesce and queue-depth reject happen in a
+    fixed order.  Returns the served results in completion order.
+    """
+    def params(l):
+        return ProclusParams(k=3, l=l, a=20, b=4)
+
+    service.quarantine_device(2, reason="drill")
+    # First, so its device clock starts where a solo run's does.
+    sharded = service.submit(
+        data, backend="fleet-gpu-fast", params=params(3), seed=1
+    )
+    sharded.result(timeout=120)
+    with service._cond:
+        leader = service.submit(data, params=params(3), seed=0)
+        service.submit(data, params=params(3), seed=0)  # dedupe
+        member = service.submit(data, params=params(2), seed=0)  # coalesce
+        with pytest.raises(AdmissionError):  # queue depth 2
+            service.submit(data, params=params(3), seed=5)
+    leader.result(timeout=120)
+    member.result(timeout=120)  # its cache put evicts the sharded result
+    service.submit(data, params=params(3), seed=0).result(timeout=120)
+    service.readmit_device(2)
+    broken = service.submit(data, backend="no-such-backend", params=params(3))
+    with pytest.raises(ParameterError):
+        broken.result(timeout=120)
+    service.drain()
+    return [sharded.result(), leader.result(), member.result()]
+
+
+class TestServiceFacts:
+    """Each serve fact is recorded once; the untraced service keeps no
+    trace."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return np.random.default_rng(7).normal(size=(600, 6)).astype(
+            np.float32
+        )
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_scripted_run_counts_each_fact_once(self, data, traced):
+        from repro.fleet import default_fleet
+        from repro.obs import Tracer
+
+        with ClusterService(
+            workers=1, fleet=default_fleet(3), cache_entries=2,
+            max_queue_depth=2, tracer=Tracer() if traced else None,
+        ) as service:
+            sharded, leader, member = _scripted_run(service, data)
+            counters = service.stats()["counters"]
+            kinds = service.log.kinds()
+        assert kinds == [
+            "device_down",
+            "submit", "admit", "start", "complete",
+            "submit", "admit", "submit", "dedupe", "submit", "admit",
+            "submit", "reject",
+            "coalesce", "start", "start", "complete", "evict", "complete",
+            "submit", "cache_hit",
+            "device_recovered",
+            "submit", "admit", "start", "fail",
+        ]
+        # The run's own counters (fleet.comm_bytes, ...) ride along.
+        run_counters = {
+            name: value for name, value in sharded.stats.counters.items()
+            if name.startswith("fleet.")
+        }
+        assert counters == {
+            **run_counters,
+            "fleet.jobs": 1, "fleet.placements.dev0": 1,
+            "fleet.quarantined": 1, "fleet.readmitted": 1,
+            "serve.requests": 7, "serve.cache.hits": 1,
+            "serve.cache.misses": 6, "serve.cache.evictions": 1,
+            "serve.deduped": 1, "serve.rejected": 1,
+            "serve.rejected.queue": 1, "serve.groups": 1,
+            "serve.coalesced": 1, "serve.executed": 3,
+            "serve.completed": 3, "serve.failed": 1,
+            "serve.device_seconds": (
+                0.0 + sharded.stats.modeled_seconds
+                + leader.stats.modeled_seconds
+                + member.stats.modeled_seconds
+            ),
+        }
+        # Absorbed once from the run, not added again by the service.
+        assert counters["fleet.comm_seconds"] == (
+            sharded.stats.counters["fleet.comm_seconds"]
+        ) > 0
+
+    def test_untraced_service_keeps_no_trace(self, small_dataset):
+        data, _ = small_dataset
+        with ClusterService(workers=1, cache_entries=0) as service:
+            handles = [
+                service.submit(
+                    data, params=ProclusParams(k=3, l=l, a=20, b=4),
+                    seed=seed,
+                )
+                for seed in range(7) for l in (2, 3, 4)
+            ]
+            for handle in handles:
+                handle.result(timeout=120)
+            service.drain()
+            assert not service.obs.enabled
+            assert service.obs.roots == []
+            assert service.obs.kernel_events == []
+            assert service.obs.device_offset() == 0.0
+            events = service.log.snapshot()
+            counters = service.stats()["counters"]
+        assert len(handles) >= 20
+        assert events and all(event.span_id is None for event in events)
+        assert counters["serve.executed"] == len(handles)
+
+    def test_recorder_still_sees_untraced_jobs(self, small_dataset):
+        from repro.obs import FlightRecorder
+
+        data, _ = small_dataset
+        recorder = FlightRecorder(capacity=4096)
+        with ClusterService(workers=1, recorder=recorder) as service:
+            service.submit(
+                data, params=ProclusParams(k=3, l=3, a=20, b=4)
+            ).result(timeout=120)
+            service.drain()
+            assert service.obs.roots == []
+        streams = recorder.snapshot()["streams"]
+        assert any(span["name"] == "fit" for span in streams["spans"])
+        assert streams["kernels"]
+        assert {record["kind"] for record in streams["serve"]} >= {
+            "submit", "admit", "start", "complete",
+        }
+
+    def test_served_sharded_job_matches_solo_after_other_work(self, data):
+        from repro import proclus
+        from repro.fleet import default_fleet
+        from repro.obs import Tracer
+
+        params = ProclusParams(k=3, l=3, a=20, b=4)
+        fleet = default_fleet(2)
+        solo = proclus(
+            data, params=params, backend="fleet-gpu-fast", seed=1,
+            fleet=fleet,
+        )
+        for tracer in (None, Tracer()):
+            with ClusterService(
+                workers=1, fleet=fleet, tracer=tracer
+            ) as service:
+                # Earlier groups move a traced device clock forward.
+                service.submit(data, params=params, seed=0).result(
+                    timeout=120
+                )
+                served = service.submit(
+                    data, backend="fleet-gpu-fast", params=params, seed=1
+                ).result(timeout=120)
+            assert np.array_equal(served.labels, solo.labels)
+            assert served.cost == solo.cost
+            assert served.stats.modeled_seconds == solo.stats.modeled_seconds
+            assert served.stats.counters == solo.stats.counters
