@@ -99,11 +99,9 @@ class ExperimentReport:
             writer.writerows(self.rows)
         return path
 
-    def to_json(self, path: str | Path) -> Path:
-        """Write the full report (rows, notes, key numbers) as JSON."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
+    def to_dict(self) -> dict:
+        """The full report (rows, notes, key numbers) as plain data."""
+        return {
             "experiment_id": self.experiment_id,
             "title": self.title,
             "columns": self.columns,
@@ -111,6 +109,11 @@ class ExperimentReport:
             "paper_reference": self.paper_reference,
             "key_numbers": {str(k): v for k, v in self.key_numbers.items()},
         }
+
+    def to_json(self, path: str | Path) -> Path:
+        """Write :meth:`to_dict` as JSON."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, default=str)
+            json.dump(self.to_dict(), handle, indent=2, default=str)
         return path

@@ -81,6 +81,10 @@ from .hardware.specs import GTX_1660_TI, INTEL_I7_9750H, INTEL_I9_10940X, RTX_30
 
 __all__ = ["main", "build_parser"]
 
+#: What a subcommand handler returns: its exit code, or ``(code,
+#: payload)`` when it has a report for ``--json`` (written by ``main``).
+Outcome = int | tuple[int, dict]
+
 #: Experiment name -> report function (for ``repro bench``).
 EXPERIMENTS: dict[str, Callable[[], "figures.ExperimentReport"]] = {
     "fig1": figures.fig1_strategy_speedup,
@@ -98,7 +102,15 @@ EXPERIMENTS: dict[str, Callable[[], "figures.ExperimentReport"]] = {
 }
 
 
-def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_run_arguments(
+    parser: argparse.ArgumentParser,
+    backends: Sequence[str] = tuple(sorted(BACKENDS)),
+    default: str = "gpu-fast",
+) -> None:
+    """Data and algorithm-parameter flags, plus ``--backend`` unless
+    ``backends`` is empty."""
+    if backends:
+        parser.add_argument("--backend", choices=backends, default=default)
     group = parser.add_argument_group("data")
     group.add_argument("--dataset", choices=dataset_names(),
                        help="use a real-world stand-in instead of synthetic data")
@@ -114,9 +126,6 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
                        help="planted cluster std (default 5.0)")
     group.add_argument("--data-seed", type=int, default=0,
                        help="seed for data generation (default 0)")
-
-
-def _add_param_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("algorithm parameters")
     group.add_argument("--k", type=int, default=10)
     group.add_argument("--l", type=int, default=5)
@@ -125,6 +134,96 @@ def _add_param_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--min-deviation", type=float, default=0.7)
     group.add_argument("--patience", type=int, default=5, help="itrPat")
     group.add_argument("--seed", type=int, default=0, help="algorithm seed")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}"
+        )
+    return value
+
+
+def _add_devices_argument(
+    parser: argparse.ArgumentParser, default, help: str,
+    mixed: bool = False, **kwargs,
+) -> None:
+    """``--devices`` (each value >= 1), plus ``--mixed`` if asked."""
+    parser.add_argument("--devices", type=_positive_int, default=default,
+                        help=help, **kwargs)
+    if mixed:
+        parser.add_argument(
+            "--mixed", action="store_true",
+            help="(fleet backends) use a heterogeneous GTX 1660 Ti + "
+                 "RTX 3090 mix instead of identical cards",
+        )
+
+
+def _add_json_argument(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument(
+        "--json", metavar="PATH",
+        help=f"write {what} as JSON ('-' = stdout, which then holds only "
+             f"the JSON; the text goes to stderr)",
+    )
+
+
+def _add_resilience_arguments(
+    parser: argparse.ArgumentParser, fault_help: str, record_help: str
+) -> None:
+    """The fault/retry/recorder flags shared by ``chaos`` and ``serve``."""
+    parser.add_argument(
+        "--fault", action="append", metavar="SPEC",
+        help=f"fault spec 'kind[@site][#at[+count|+*]][?prob]' "
+             f"(repeatable; {fault_help})",
+    )
+    parser.add_argument("--max-retries", type=int, default=3,
+                        help="transient-error retries per ladder rung "
+                             "(default 3)")
+    parser.add_argument(
+        "--record-dir", metavar="DIR",
+        help=f"run under a flight recorder; {record_help} dump a "
+             f"postmortem bundle here (inspect with 'repro postmortem DIR')",
+    )
+
+
+def _resilience_from(args: argparse.Namespace, fault_seed: int,
+                     record_capacity: int = 256, **policy_fields):
+    """``(RetryPolicy, injector factory, FlightRecorder or None)`` from
+    the shared resilience flags, plus any other RetryPolicy fields."""
+    from .obs import FlightRecorder
+    from .resilience import FaultInjector, RetryPolicy
+
+    recorder = None
+    if args.record_dir:
+        recorder = FlightRecorder(capacity=record_capacity,
+                                  bundle_dir=args.record_dir)
+
+    def injector(schedule: Sequence[str]) -> FaultInjector:
+        return FaultInjector(tuple(schedule), seed=fault_seed)
+
+    policy = RetryPolicy(max_retries=args.max_retries, **policy_fields)
+    return policy, injector, recorder
+
+
+def _write_json(payload: dict, path: str) -> None:
+    """The one ``--json`` writer: ``-`` is stdout, anything else a file."""
+    import json
+    from pathlib import Path
+
+    if path == "-":
+        json.dump(payload, sys.stdout, indent=2, default=str)
+        print()
+        return
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, default=str)
+        handle.write("\n")
+    print(f"report written to {path}")
 
 
 def _load_data(args: argparse.Namespace):
@@ -147,6 +246,27 @@ def _params_from(args: argparse.Namespace, k: int | None = None,
         a=args.a, b=args.b,
         min_deviation=args.min_deviation,
         patience=args.patience,
+    )
+
+
+def _build_fleet(args: argparse.Namespace):
+    """The modeled fleet of ``--devices``/``--mixed`` (None if unset)."""
+    from .fleet import default_fleet, mixed_fleet
+
+    if args.devices is None:
+        return None
+    if getattr(args, "mixed", False):
+        large = args.devices // 2
+        return mixed_fleet(small=args.devices - large, large=large)
+    return default_fleet(args.devices)
+
+
+def _engine_from(args: argparse.Namespace, **kwargs):
+    """The ``--backend`` engine with the run's params, seed and fleet."""
+    if args.backend.startswith("fleet-") and "devices" in args:
+        kwargs["fleet"] = _build_fleet(args)
+    return BACKENDS[args.backend](
+        params=_params_from(args), seed=args.seed, **kwargs
     )
 
 
@@ -215,7 +335,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace) -> Outcome:
     if args.experiment == "quick":
         return _bench_quick(args)
     if args.experiment == "fleet":
@@ -238,15 +358,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.csv:
         path = report.to_csv(args.csv)
         print(f"\nrows written to {path}")
-    if args.json:
-        path = report.to_json(args.json)
-        print(f"report written to {path}")
-    return 0
+    return 0, report.to_dict()
 
 
-def _bench_quick(args: argparse.Namespace) -> int:
+def _bench_quick(args: argparse.Namespace) -> Outcome:
     """The ``repro bench quick`` path: run the baseline tier."""
-    import json
     import time as _time
 
     from .bench.baseline import (
@@ -271,23 +387,12 @@ def _bench_quick(args: argparse.Namespace) -> int:
         paths = write_baselines(records, args.baseline_dir)
         print(f"\n{len(paths)} baseline files written to {args.baseline_dir} "
               f"(commit them to move the regression gate)")
-    if args.json:
-        payload = bench_quick_record(records, wall)
-        if args.json == "-":
-            json.dump(payload, sys.stdout, indent=2)
-            print()
-        else:
-            with open(args.json, "w") as handle:
-                json.dump(payload, handle, indent=2)
-            print(f"report written to {args.json}")
-    return 0
+    return 0, bench_quick_record(records, wall)
 
 
-def _bench_fleet(args: argparse.Namespace) -> int:
+def _bench_fleet(args: argparse.Namespace) -> Outcome:
     """The ``repro bench fleet`` path: multi-device scaling curve."""
-    import json
-
-    from .fleet.bench import render_fleet_bench, run_fleet_bench, write_fleet_bench
+    from .fleet.bench import render_fleet_bench, run_fleet_bench
 
     payload = run_fleet_bench(devices=tuple(args.devices), progress=print)
     print()
@@ -295,66 +400,31 @@ def _bench_fleet(args: argparse.Namespace) -> int:
     if not payload["ok"]:
         print("\nWARNING: a fleet run was NOT bit-identical to solo",
               file=sys.stderr)
-    if args.json:
-        if args.json == "-":
-            json.dump(payload, sys.stdout, indent=2)
-            print()
-        else:
-            path = write_fleet_bench(payload, args.json)
-            print(f"\nreport written to {path}")
-    return 0 if payload["ok"] else 1
+    return (0 if payload["ok"] else 1), payload
 
 
-def _build_fleet(args: argparse.Namespace):
-    from .fleet import default_fleet, mixed_fleet
-
-    if args.mixed:
-        large = args.devices // 2
-        return mixed_fleet(small=args.devices - large, large=large)
-    return default_fleet(args.devices)
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    from .core.api import BACKENDS as _BACKENDS
-    from .fleet import FleetModel, fleet_report
+def _cmd_fleet(args: argparse.Namespace) -> Outcome:
+    from .fleet import fleet_report
     from .viz.ascii import fleet_utilization_chart
 
-    data, _dataset = _load_data(args)
-    fleet = _build_fleet(args)
-    engine = _BACKENDS[args.backend](
-        params=_params_from(args), seed=args.seed, fleet=fleet
-    )
+    data, _ = _load_data(args)
+    engine = _engine_from(args)
     result = engine.fit(data)
-    assert isinstance(engine.model, FleetModel)
     report = fleet_report(engine.model)
     print(result.summary())
     print()
     print(fleet_utilization_chart(report))
-    if args.check:
-        solo_backend = args.backend.removeprefix("fleet-")
-        solo = proclus(
-            data, backend=solo_backend, params=_params_from(args),
-            seed=args.seed,
-        )
-        identical = (
-            np.array_equal(solo.labels, result.labels)
-            and solo.dimensions == result.dimensions
-            and solo.cost == result.cost
-        )
-        print()
-        if identical:
-            print(f"bit-identical to solo {solo_backend}: yes")
-        else:
-            print(f"bit-identical to solo {solo_backend}: NO",
-                  file=sys.stderr)
-            return 1
-    if args.json:
-        import json
-
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"\nfleet report written to {args.json}")
-    return 0
+    if not args.check:
+        return 0, report
+    solo_backend = args.backend.removeprefix("fleet-")
+    solo = proclus(
+        data, backend=solo_backend, params=_params_from(args), seed=args.seed
+    )
+    identical = _results_identical(solo, result)
+    print(f"\nbit-identical to solo {solo_backend}: "
+          f"{'yes' if identical else 'NO'}",
+          file=sys.stdout if identical else sys.stderr)
+    return (0 if identical else 1), report
 
 
 #: ``repro regress --inject`` choice -> backend remap simulating the
@@ -371,9 +441,7 @@ REGRESS_INJECTIONS: dict[str, dict[str, str]] = {
 }
 
 
-def _cmd_regress(args: argparse.Namespace) -> int:
-    import json
-
+def _cmd_regress(args: argparse.Namespace) -> Outcome:
     from .bench.baseline import load_baselines, run_quick_tier
     from .bench.regress import run_regression_check
 
@@ -414,18 +482,10 @@ def _cmd_regress(args: argparse.Namespace) -> int:
     else:
         print("baseline store is unusable — regenerate it with "
               "'repro bench quick --save-baseline'", file=sys.stderr)
-    if args.json:
-        if args.json == "-":
-            json.dump(verdict, sys.stdout, indent=2)
-            print()
-        else:
-            with open(args.json, "w") as handle:
-                json.dump(verdict, handle, indent=2)
-            print(f"verdict written to {args.json}")
-    return verdict["exit_code"]
+    return verdict["exit_code"], verdict
 
 
-def _cmd_monitor(args: argparse.Namespace) -> int:
+def _cmd_monitor(args: argparse.Namespace) -> Outcome:
     import json
     import time as _time
 
@@ -456,17 +516,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         return 2
     if args.once:
         health = load_health(args.dir)  # missing -> OSError -> exit 2
-        if args.json:
-            if args.json == "-":
-                json.dump(health, sys.stdout, indent=2)
-                print()
-            else:
-                with open(args.json, "w") as handle:
-                    json.dump(health, handle, indent=2)
-                print(f"health report written to {args.json}")
-        else:
-            print(render_health(health))
-        return 0 if health["ok"] else 1
+        print(render_health(health))
+        return (0 if health["ok"] else 1), health
 
     health = None
     updates = 0
@@ -492,7 +543,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     return 0 if health["ok"] else 1
 
 
-def _cmd_explain(args: argparse.Namespace) -> int:
+def _cmd_explain(args: argparse.Namespace) -> Outcome:
     import json
 
     from .obs.explain import (
@@ -513,15 +564,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         render_fleet_attribution,
     )
 
-    def _dump(payload, path, what):
-        if path == "-":
-            json.dump(payload, sys.stdout, indent=2)
-            print()
-        else:
-            with open(path, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-            print(f"{what} written to {path}")
-
     if args.diff:
         from .obs.export import report_envelope
 
@@ -540,19 +582,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                       f"{row['fresh']:g} ({row['delta']:+g})")
         else:
             print("no counter deltas")
-        if args.json:
-            _dump(
-                {
-                    **report_envelope("repro.explain_diff/1"),
-                    "a": a["label"],
-                    "b": b["label"],
-                    "zero": bool((diff is None or diff["zero"]) and not counters),
-                    "diff": diff,
-                    "counters": counters,
-                },
-                args.json, "diff report",
-            )
-        return 0
+        return 0, {
+            **report_envelope("repro.explain_diff/1"),
+            "a": a["label"],
+            "b": b["label"],
+            "zero": bool((diff is None or diff["zero"]) and not counters),
+            "diff": diff,
+            "counters": counters,
+        }
 
     if args.workload:
         from .bench.baseline import QUICK_TIER, run_workload
@@ -577,21 +614,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         print("top kernels:")
         for name, seconds in top_kernels:
             print(f"  {name:<28} {seconds * 1e3:>9.3f} ms")
-        if args.json:
-            _dump(record, args.json, "workload record (diffable vs baseline)")
-        return 0
+        return 0, record
 
     from .obs import Tracer, use_tracer
 
     data, _ = _load_data(args)
-    engine_kwargs = {}
-    if args.backend.startswith("fleet-"):
-        engine_kwargs["fleet"] = _build_fleet(args)
     tracer = Tracer()
     with use_tracer(tracer):
-        engine = BACKENDS[args.backend](
-            params=_params_from(args), seed=args.seed, **engine_kwargs
-        )
+        engine = _engine_from(args)
         result = engine.fit(data)
     record = attribution_record(attribute_run(engine.model))
     fleet_section = None
@@ -625,41 +655,26 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             json.dump(speedscope_profile(tracer, name=args.backend), handle)
         print(f"speedscope profile written to {args.speedscope} "
               f"(open at https://www.speedscope.app)")
-    if args.json:
-        _dump(report, args.json, "explain report")
-    return 0
+    return 0, report
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
+def _cmd_profile(args: argparse.Namespace) -> Outcome:
+    from .obs import report_envelope
+
     data, _ = _load_data(args)
-    if not args.backend.startswith("gpu"):
-        print("profile requires a GPU backend", file=sys.stderr)
-        return 2
-    engine = BACKENDS[args.backend](params=_params_from(args), seed=args.seed)
+    engine = _engine_from(args)
     result = engine.fit(data)
     profiles = profile_kernels(engine.model)
-    if args.json:
-        import json
-
-        payload = {
-            "schema": "repro.kernel_profile/1",
-            "backend": args.backend,
-            "hardware": result.stats.hardware,
-            "modeled_seconds": result.stats.modeled_seconds,
-            "kernels": kernel_profile_records(profiles),
-        }
-        if args.json == "-":
-            json.dump(payload, sys.stdout, indent=2)
-            print()
-            return 0
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"profile written to {args.json}")
-        return 0
     print(format_kernel_profile(profiles, top=args.top))
     print(f"\nmodeled total: {result.stats.modeled_seconds * 1e3:.3f} ms "
           f"on {result.stats.hardware}")
-    return 0
+    return 0, {
+        **report_envelope("repro.kernel_profile/1"),
+        "backend": args.backend,
+        "hardware": result.stats.hardware,
+        "modeled_seconds": result.stats.modeled_seconds,
+        "kernels": kernel_profile_records(profiles),
+    }
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -694,9 +709,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 study, tracer, label=args.label, seed=args.seed
             )
         else:
-            engine = BACKENDS[args.backend](
-                params=_params_from(args), seed=args.seed, collect_trace=True
-            )
+            engine = _engine_from(args, collect_trace=True)
             result = engine.fit(data)
             record = run_record(
                 result, tracer, label=args.label, seed=args.seed,
@@ -725,20 +738,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sanitize(args: argparse.Namespace) -> int:
+def _cmd_sanitize(args: argparse.Namespace) -> Outcome:
     from .gpu_impl.sanitize import run_sweep
 
     kernels = None if args.all_kernels or not args.kernel else args.kernel
     seeds: tuple[int | None, ...] = (None, *range(1, args.schedules))
     report = run_sweep(kernels=kernels, schedule_seeds=seeds, seed=args.seed)
     print(report.render())
-    if args.json:
-        import json
-
-        with open(args.json, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"report written to {args.json}")
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), report.to_dict()
 
 
 #: Fault class -> default chaos schedule (fires early in every run).
@@ -749,6 +756,10 @@ CHAOS_FAULTS: dict[str, tuple[str, ...]] = {
     "corrupt": ("corrupt#1",),
     "timeout": ("timeout#2",),
 }
+
+#: Fleet chaos stages: kill each member early (during the data
+#: upload) and mid-run (inside the iterative phase).
+FLEET_CHAOS_AT = {"upload": 1, "iterate": 8}
 
 
 def _results_identical(a, b) -> bool:
@@ -761,55 +772,105 @@ def _results_identical(a, b) -> bool:
     )
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
-    from .resilience import (
-        FaultInjector,
-        ResilientRunner,
-        RetryPolicy,
-        use_injector,
+def _along_ladder(outcome, rungs: list[str]) -> bool:
+    return outcome.rung in rungs and all(
+        event.to_rung in rungs
+        for event in outcome.events
+        if event.kind == "degrade"
     )
 
-    if args.fleet:
-        return _cmd_chaos_fleet(args)
+
+def _solo_contract(outcome, rungs: list[str]) -> tuple[dict, bool]:
+    """Recovered = the run stayed on the documented degradation ladder."""
+    along_ladder = _along_ladder(outcome, rungs)
+    return {"along_ladder": along_ladder}, along_ladder
+
+
+def _fleet_contract(outcome, rungs: list[str]) -> tuple[dict, bool]:
+    """Recovered = re-sharded within the fleet rung, or degraded along
+    the documented ladder."""
+    resharded = any(event.kind == "reshard" for event in outcome.events)
+    recovered = resharded or (
+        outcome.degraded and _along_ladder(outcome, rungs)
+    )
+    return {"resharded": resharded}, recovered
+
+
+def _cmd_chaos(args: argparse.Namespace) -> Outcome:
+    """Fault-injection sweep; exit 1 if any run breaks its contract.
+
+    Solo mode sweeps fault class x backend; ``--fleet`` sweeps device x
+    stage, killing one fleet member per run.  Every run must fire its
+    fault, end bit-identical to the fault-free solo clustering, and
+    recover as its mode's contract demands.
+    """
+    from dataclasses import asdict
+
+    from .obs import report_envelope
+    from .obs.postmortem import result_digest
+    from .obs.recorder import use_recorder
+    from .resilience import ResilientRunner, use_injector
 
     data, _ = _load_data(args)
     params = _params_from(args)
-    policy = RetryPolicy(max_retries=args.max_retries)
+    policy, make_injector, recorder = _resilience_from(args, args.seed)
     runner = ResilientRunner(policy)
-    if args.fault:
-        sweep: dict[str, tuple[str, ...]] = {"custom": tuple(args.fault)}
+    shape = f"n={data.shape[0]}, k={params.k}, l={params.l}"
+    if args.fleet:
+        backends = [
+            backend for backend in args.backends
+            if backend.startswith("fleet-")
+        ] or ["fleet-gpu-fast", "fleet-gpu"]
+        key, contract = "scenario", _fleet_contract
+        device_keys = {"devices": args.devices}
+        scenarios = {
+            f"down-dev{device}@{stage}": (f"device-down@dev{device}#{at}",)
+            for device in range(args.devices)
+            for stage, at in FLEET_CHAOS_AT.items()
+        }
+        engine_kwargs = {"fleet": _build_fleet(args)}
+        runs, contract_name = "device-loss", "bit-identical-after-recovery"
+        held = ("recovered with the solo clustering (re-sharding within "
+                "the fleet or degrading along the ladder)")
+        print(f"fleet chaos sweep: {len(backends)} backend(s) x "
+              f"{args.devices} device(s) x {len(FLEET_CHAOS_AT)} stage(s), "
+              f"{shape}")
     else:
-        sweep = CHAOS_FAULTS
-    recorder = None
-    if args.record_dir:
-        from .obs import FlightRecorder
-
-        recorder = FlightRecorder(bundle_dir=args.record_dir)
+        backends = args.backends
+        key, contract, device_keys = "fault_class", _solo_contract, {}
+        scenarios = (
+            {"custom": tuple(args.fault)} if args.fault else CHAOS_FAULTS
+        )
+        engine_kwargs = {}
+        runs = "injected"
+        contract_name = "completes-identical-or-degrades-along-ladder"
+        held = ("completed with the fault-free clustering (degrading "
+                "along the ladder where needed)")
+        print(f"chaos sweep: {len(backends)} backend(s) x "
+              f"{len(scenarios)} fault class(es), {shape}")
 
     rows: list[dict] = []
-    print(f"chaos sweep: {len(args.backends)} backend(s) x "
-          f"{len(sweep)} fault class(es), n={data.shape[0]}, "
-          f"k={params.k}, l={params.l}")
-    print(f"{'backend':<14} {'fault':<10} {'fired':>5} {'attempts':>8} "
-          f"{'final rung':<26} {'identical':<9} ok")
-    for backend in args.backends:
-        reference = proclus(data, backend=backend, params=params, seed=args.seed)
+    print(f"{'backend':<16} {key:<22} {'fired':>5} {'attempts':>8} "
+          f"{'final rung':<30} {'identical':<9} ok")
+    for backend in backends:
+        reference = proclus(
+            data, backend=backend.removeprefix("fleet-"), params=params,
+            seed=args.seed,
+        )
         rungs = [step.describe() for step in policy.ladder_for(backend)]
-        for fault_class, schedule in sweep.items():
-            injector = FaultInjector(schedule, seed=args.seed)
+        for scenario, schedule in scenarios.items():
+            injector = make_injector(schedule)
             row = {
                 "backend": backend,
-                "fault_class": fault_class,
+                key: scenario,
                 "schedule": list(schedule),
+                **device_keys,
             }
             try:
-                from .obs.recorder import use_recorder
-
                 with use_injector(injector), use_recorder(recorder):
                     outcome = runner.fit(
-                        data, backend=backend, params=params, seed=args.seed
+                        data, backend=backend, params=params,
+                        seed=args.seed, engine_kwargs=engine_kwargs,
                     )
             except ReproError as error:
                 row.update(
@@ -817,32 +878,26 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                     fired=len(injector.injected),
                 )
                 rows.append(row)
-                print(f"{backend:<14} {fault_class:<10} "
-                      f"{len(injector.injected):>5} {'-':>8} "
-                      f"{'-':<26} {'-':<9} FAIL ({type(error).__name__})")
+                print(f"{backend:<16} {scenario:<22} "
+                      f"{len(injector.injected):>5} {'-':>8} {'-':<30} "
+                      f"{'-':<9} FAIL ({type(error).__name__})")
                 continue
             fired = len(injector.injected)
             identical = _results_identical(outcome.result, reference)
-            along_ladder = outcome.rung in rungs and all(
-                event.to_rung in rungs
-                for event in outcome.events
-                if event.kind == "degrade"
-            )
-            ok = identical and along_ladder and fired > 0
+            verdict, recovered = contract(outcome, rungs)
+            ok = identical and recovered and fired > 0
             if not ok and recorder is not None:
-                from .obs.postmortem import result_digest
-
-                # Chaos-contract violation: the run completed but broke
-                # the completes-identical-or-degrades-along-ladder
-                # contract; pin the fault-free reference digest so a
-                # replay can check the solo bits from the bundle alone.
+                # The run completed but broke the contract; pin the
+                # fault-free reference digest so a replay can check the
+                # solo bits from the bundle alone.
                 recorder.set_reference_digest(result_digest(reference))
                 recorder.record_failure(
                     "chaos-contract",
                     events=outcome.events,
-                    detail=(
-                        f"{backend} x {fault_class}: identical={identical}, "
-                        f"along_ladder={along_ladder}, fired={fired}"
+                    detail=f"{backend} x {scenario}: " + ", ".join(
+                        f"{name}={value}" for name, value in
+                        {"identical": identical, **verdict,
+                         "fired": fired}.items()
                     ),
                 )
                 recorder.auto_dump("chaos-contract")
@@ -852,195 +907,42 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 rung=outcome.rung,
                 degraded=outcome.degraded,
                 identical=identical,
-                along_ladder=along_ladder,
+                **verdict,
                 ok=ok,
                 injected=[asdict(record) for record in injector.injected],
                 events=[event.as_dict() for event in outcome.events],
             )
             rows.append(row)
-            print(f"{backend:<14} {fault_class:<10} {fired:>5} "
-                  f"{outcome.attempts:>8} {outcome.rung:<26} "
+            final = next(
+                (event.to_rung for event in reversed(outcome.events)
+                 if event.kind in ("reshard", "degrade")),
+                outcome.rung,
+            )
+            print(f"{backend:<16} {scenario:<22} {fired:>5} "
+                  f"{outcome.attempts:>8} {final:<30} "
                   f"{str(identical).lower():<9} "
                   f"{'ok' if ok else 'VIOLATION'}")
 
-    failures = [row for row in rows if not row.get("ok")]
+    failures = [row for row in rows if not row["ok"]]
     print()
     if failures:
-        print(f"{len(failures)}/{len(rows)} runs violated the "
-              f"completes-identical-or-degrades-along-ladder contract")
+        print(f"{len(failures)}/{len(rows)} {runs} runs violated the "
+              f"{contract_name} contract")
     else:
-        print(f"all {len(rows)} injected runs completed with the "
-              f"fault-free clustering (degrading along the ladder "
-              f"where needed)")
-    if args.json:
-        import json
-
-        from .obs import report_envelope
-
-        payload = {
-            **report_envelope("repro.chaos/1"),
-            "n": int(data.shape[0]),
-            "d": int(data.shape[1]),
-            "k": params.k,
-            "l": params.l,
-            "seed": args.seed,
-            "max_retries": args.max_retries,
-            "ok": not failures,
-            "rows": rows,
-        }
-        if args.json == "-":
-            json.dump(payload, sys.stdout, indent=2)
-            print()
-        else:
-            with open(args.json, "w") as handle:
-                json.dump(payload, handle, indent=2)
-            print(f"event log written to {args.json}")
-    return 1 if failures else 0
-
-
-#: Fleet chaos scenarios: kill each member early (during the data
-#: upload) and mid-run (inside the iterative phase).
-FLEET_CHAOS_AT = {"upload": 1, "iterate": 8}
-
-
-def _cmd_chaos_fleet(args: argparse.Namespace) -> int:
-    """Device-loss chaos sweep: kill each fleet member at each stage.
-
-    Contract per run: the outcome is bit-identical to the solo
-    reference, the injected fault actually fired, and recovery either
-    re-sharded within the fleet rung or degraded along the documented
-    ladder.  Exit 1 on any violation.
-    """
-    from dataclasses import asdict
-
-    from .resilience import (
-        FaultInjector,
-        ResilientRunner,
-        RetryPolicy,
-        use_injector,
-    )
-
-    data, _ = _load_data(args)
-    params = _params_from(args)
-    policy = RetryPolicy(max_retries=args.max_retries)
-    runner = ResilientRunner(policy)
-    devices = args.devices
-    backends = [
-        backend for backend in args.backends
-        if backend.startswith("fleet-")
-    ] or ["fleet-gpu-fast", "fleet-gpu"]
-
-    rows: list[dict] = []
-    print(f"fleet chaos sweep: {len(backends)} backend(s) x {devices} "
-          f"device(s) x {len(FLEET_CHAOS_AT)} stage(s), "
-          f"n={data.shape[0]}, k={params.k}, l={params.l}")
-    print(f"{'backend':<16} {'scenario':<22} {'fired':>5} {'attempts':>8} "
-          f"{'final rung':<30} {'identical':<9} ok")
-    for backend in backends:
-        solo_backend = backend.removeprefix("fleet-")
-        reference = proclus(
-            data, backend=solo_backend, params=params, seed=args.seed
-        )
-        rungs = [step.describe() for step in policy.ladder_for(backend)]
-        for device in range(devices):
-            for stage, at in FLEET_CHAOS_AT.items():
-                schedule = (f"device-down@dev{device}#{at}",)
-                scenario = f"down-dev{device}@{stage}"
-                injector = FaultInjector(schedule, seed=args.seed)
-                row = {
-                    "backend": backend,
-                    "scenario": scenario,
-                    "schedule": list(schedule),
-                    "devices": devices,
-                }
-                try:
-                    with use_injector(injector):
-                        outcome = runner.fit(
-                            data, backend=backend, params=params,
-                            seed=args.seed,
-                            engine_kwargs={"fleet": devices},
-                        )
-                except ReproError as error:
-                    row.update(
-                        error=f"{type(error).__name__}: {error}", ok=False,
-                        fired=len(injector.injected),
-                    )
-                    rows.append(row)
-                    print(f"{backend:<16} {scenario:<22} "
-                          f"{len(injector.injected):>5} {'-':>8} {'-':<30} "
-                          f"{'-':<9} FAIL ({type(error).__name__})")
-                    continue
-                fired = len(injector.injected)
-                identical = _results_identical(outcome.result, reference)
-                resharded = any(
-                    event.kind == "reshard" for event in outcome.events
-                )
-                along_ladder = outcome.rung in rungs and all(
-                    event.to_rung in rungs
-                    for event in outcome.events
-                    if event.kind == "degrade"
-                )
-                recovered = resharded or (outcome.degraded and along_ladder)
-                ok = identical and recovered and fired > 0
-                row.update(
-                    fired=fired,
-                    attempts=outcome.attempts,
-                    rung=outcome.rung,
-                    degraded=outcome.degraded,
-                    resharded=resharded,
-                    identical=identical,
-                    ok=ok,
-                    injected=[
-                        asdict(record) for record in injector.injected
-                    ],
-                    events=[event.as_dict() for event in outcome.events],
-                )
-                rows.append(row)
-                final = next(
-                    (event.to_rung for event in reversed(outcome.events)
-                     if event.kind in ("reshard", "degrade")),
-                    outcome.rung,
-                )
-                print(f"{backend:<16} {scenario:<22} {fired:>5} "
-                      f"{outcome.attempts:>8} {final:<30} "
-                      f"{str(identical).lower():<9} "
-                      f"{'ok' if ok else 'VIOLATION'}")
-
-    failures = [row for row in rows if not row.get("ok")]
-    print()
-    if failures:
-        print(f"{len(failures)}/{len(rows)} device-loss runs violated the "
-              f"bit-identical-after-recovery contract")
-    else:
-        print(f"all {len(rows)} device-loss runs recovered with the "
-              f"solo clustering (re-sharding within the fleet or "
-              f"degrading along the ladder)")
-    if args.json:
-        import json
-
-        from .obs import report_envelope
-
-        payload = {
-            **report_envelope("repro.chaos/1"),
-            "mode": "fleet",
-            "n": int(data.shape[0]),
-            "d": int(data.shape[1]),
-            "k": params.k,
-            "l": params.l,
-            "seed": args.seed,
-            "devices": devices,
-            "max_retries": args.max_retries,
-            "ok": not failures,
-            "rows": rows,
-        }
-        if args.json == "-":
-            json.dump(payload, sys.stdout, indent=2)
-            print()
-        else:
-            with open(args.json, "w") as handle:
-                json.dump(payload, handle, indent=2)
-            print(f"event log written to {args.json}")
-    return 1 if failures else 0
+        print(f"all {len(rows)} {runs} runs {held}")
+    return (1 if failures else 0), {
+        **report_envelope("repro.chaos/1"),
+        **({"mode": "fleet"} if args.fleet else {}),
+        "n": int(data.shape[0]),
+        "d": int(data.shape[1]),
+        "k": params.k,
+        "l": params.l,
+        "seed": args.seed,
+        **device_keys,
+        "max_retries": args.max_retries,
+        "ok": not failures,
+        "rows": rows,
+    }
 
 
 def _cmd_claims(args: argparse.Namespace) -> int:
@@ -1067,39 +969,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ClusterService, serve_spool
     from .viz import render_health, render_serve_lanes
 
-    fleet = None
-    if args.devices is not None:
-        from .fleet import default_fleet
-
-        if args.devices < 1:
-            print(f"--devices must be >= 1, got {args.devices}",
-                  file=sys.stderr)
-            return 2
-        fleet = default_fleet(args.devices)
-    policy = None
-    if args.no_degrade or args.max_retries is not None \
-            or args.max_reshards is not None:
-        from .resilience import RetryPolicy
-
-        policy = RetryPolicy(
-            max_retries=(
-                args.max_retries if args.max_retries is not None else 3
-            ),
-            allow_degraded=not args.no_degrade,
-            max_reshards=args.max_reshards,
-        )
-    injector = None
-    if args.fault:
-        from .resilience import FaultInjector
-
-        injector = FaultInjector(tuple(args.fault), seed=args.fault_seed)
-    recorder = None
-    if args.record_dir:
-        from .obs import FlightRecorder
-
-        recorder = FlightRecorder(
-            capacity=args.record_capacity, bundle_dir=args.record_dir
-        )
+    fleet = _build_fleet(args)
+    policy, make_injector, recorder = _resilience_from(
+        args, args.fault_seed, record_capacity=args.record_capacity,
+        allow_degraded=not args.no_degrade, max_reshards=args.max_reshards,
+    )
+    injector = make_injector(args.fault) if args.fault else None
     service = ClusterService(
         workers=args.workers,
         gpu_spec=GPU_SPECS[args.gpu],
@@ -1170,6 +1045,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.timeline and len(service.log):
         print()
         print(render_serve_lanes(service.log.snapshot()))
+        if service.log.dropped:
+            print(f"(the last {len(service.log)} events; "
+                  f"{service.log.dropped} earlier ones were dropped)")
     return 0
 
 
@@ -1223,7 +1101,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
+def _cmd_loadgen(args: argparse.Namespace) -> Outcome:
     from .obs import validate_bench_report
     from .serve import run_loadgen
     from .viz import render_health, render_serve_lanes
@@ -1278,18 +1156,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     problems = validate_bench_report(report, "repro.serve_bench/1")
     for problem in problems:
         print(f"report problem: {problem}", file=sys.stderr)
-    if args.json:
-        import json
-
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=2)
-        print(f"\nreport written to {args.json}")
-    return 0 if report["ok"] and not problems else 1
+    return (0 if report["ok"] and not problems else 1), report
 
 
-def _cmd_postmortem(args: argparse.Namespace) -> int:
-    import json
-
+def _cmd_postmortem(args: argparse.Namespace) -> Outcome:
     from .obs.postmortem import analyze_bundle, load_bundle, replay_bundle
     from .viz import render_postmortem
 
@@ -1314,17 +1184,8 @@ def _cmd_postmortem(args: argparse.Namespace) -> int:
         else:
             print(f"replay DID NOT reproduce the recorded failure: "
                   f"{replay_report['detail']}")
-    if args.json:
-        if args.json == "-":
-            json.dump(analysis, sys.stdout, indent=2)
-            print()
-        else:
-            with open(args.json, "w") as handle:
-                json.dump(analysis, handle, indent=2)
-            print(f"analysis written to {args.json}")
-    if replay_report is not None and not replay_report["reproduced"]:
-        return 1
-    return 0
+    failed = replay_report is not None and not replay_report["reproduced"]
+    return (1 if failed else 0), analysis
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -1363,9 +1224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cluster = sub.add_parser("cluster", help="run one PROCLUS clustering")
-    _add_data_arguments(cluster)
-    _add_param_arguments(cluster)
-    cluster.add_argument("--backend", choices=sorted(BACKENDS), default="gpu-fast")
+    _add_run_arguments(cluster)
     cluster.add_argument("--save-labels", metavar="PATH",
                          help="write the label array as .npy")
     cluster.add_argument("--counters", action="store_true",
@@ -1373,13 +1232,11 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.set_defaults(func=_cmd_cluster)
 
     study = sub.add_parser("study", help="run a (k, l) parameter study")
-    _add_data_arguments(study)
-    _add_param_arguments(study)
+    _add_run_arguments(study)
     study.add_argument("--ks", type=int, nargs="+", default=[12, 10, 8])
     study.add_argument("--ls", type=int, nargs="+", default=[7, 5, 3])
     study.add_argument("--level", type=int, choices=[0, 1, 2, 3], default=3,
                        help="multi-param reuse level (default 3)")
-    study.add_argument("--backend", choices=sorted(BACKENDS), default="gpu-fast")
     study.add_argument(
         "--checkpoint-dir", metavar="DIR",
         help="persist each completed (k, l) setting here so a killed "
@@ -1402,13 +1259,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="regenerate a paper experiment")
     bench.add_argument("experiment",
                        choices=sorted(EXPERIMENTS) + ["all", "quick", "fleet"])
-    bench.add_argument("--devices", type=int, nargs="+", default=[1, 2, 3, 4],
-                       help="(with 'fleet') device counts of the scaling "
-                            "curve (default 1 2 3 4)")
+    _add_devices_argument(bench, [1, 2, 3, 4], nargs="+",
+                          help="(with 'fleet') device counts of the scaling "
+                               "curve (default 1 2 3 4)")
     bench.add_argument("--csv", metavar="PATH", help="also write rows as CSV")
-    bench.add_argument("--json", metavar="PATH",
-                       help="also write report as JSON ('-' = stdout for "
-                            "'quick')")
+    _add_json_argument(bench, "the report (not with 'all')")
     bench.add_argument("--plot", action="store_true",
                        help="render the series as an ASCII log-log chart")
     bench.add_argument("--out", metavar="DIR",
@@ -1426,23 +1281,16 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="run one clustering sharded across a fleet of modeled devices",
     )
-    _add_data_arguments(fleet)
-    _add_param_arguments(fleet)
-    fleet.add_argument(
-        "--backend",
-        choices=["fleet-gpu", "fleet-gpu-fast", "fleet-gpu-fast-star"],
+    _add_run_arguments(
+        fleet, ("fleet-gpu", "fleet-gpu-fast", "fleet-gpu-fast-star"),
         default="fleet-gpu-fast",
     )
-    fleet.add_argument("--devices", type=int, default=2,
-                       help="number of modeled devices (default 2)")
-    fleet.add_argument("--mixed", action="store_true",
-                       help="use a heterogeneous GTX 1660 Ti + RTX 3090 mix "
-                            "instead of identical cards")
+    _add_devices_argument(fleet, 2, "number of modeled devices (default 2)",
+                          mixed=True)
     fleet.add_argument("--check", action="store_true",
                        help="also run the solo backend and verify the "
                             "clustering is bit-identical (exit 1 if not)")
-    fleet.add_argument("--json", metavar="PATH",
-                       help="write the per-device fleet report as JSON")
+    _add_json_argument(fleet, "the per-device fleet report")
     fleet.set_defaults(func=_cmd_fleet)
 
     regress = sub.add_parser(
@@ -1462,8 +1310,7 @@ def build_parser() -> argparse.ArgumentParser:
     regress.add_argument("--inject", choices=sorted(REGRESS_INJECTIONS),
                          help="deliberately slow the fresh run (negative "
                               "control; must exit 1 against a good baseline)")
-    regress.add_argument("--json", metavar="PATH",
-                         help="write the verdict as JSON ('-' = stdout)")
+    _add_json_argument(regress, "the verdict")
     regress.set_defaults(func=_cmd_regress)
 
     monitor = sub.add_parser(
@@ -1480,9 +1327,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--once", action="store_true",
                          help="print the current health once and exit "
                               "(0 healthy / 1 SLO failing / 2 no report)")
-    monitor.add_argument("--json", metavar="PATH",
-                         help="(with --once) write the health report as "
-                              "JSON ('-' = stdout)")
+    _add_json_argument(monitor, "(with --once) the health report")
     monitor.add_argument("--interval", type=float, default=1.0,
                          help="live-view refresh seconds (default 1.0)")
     monitor.add_argument("--max-updates", type=int, default=None,
@@ -1492,17 +1337,10 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile", help="nvprof-style kernel profile of one GPU run"
     )
-    _add_data_arguments(profile)
-    _add_param_arguments(profile)
-    profile.add_argument(
-        "--backend",
-        choices=sorted(b for b in BACKENDS if b.startswith("gpu")),
-        default="gpu-fast",
+    _add_run_arguments(
+        profile, sorted(b for b in BACKENDS if b.startswith("gpu"))
     )
-    profile.add_argument(
-        "--json", metavar="PATH",
-        help="write the profile as JSON instead of the table ('-' = stdout)",
-    )
+    _add_json_argument(profile, "the profile")
     profile.add_argument(
         "--top", type=int, default=None, metavar="N",
         help="show only the N most expensive kernels "
@@ -1514,19 +1352,12 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="performance attribution: where the modeled seconds went",
     )
-    _add_data_arguments(explain)
-    _add_param_arguments(explain)
-    explain.add_argument("--backend", choices=sorted(BACKENDS),
-                         default="gpu-fast")
-    explain.add_argument("--devices", type=int, default=2,
-                         help="(fleet backends) modeled device count")
-    explain.add_argument("--mixed", action="store_true",
-                         help="(fleet backends) mixed 1660Ti/3090 fleet")
+    _add_run_arguments(explain)
+    _add_devices_argument(explain, 2, "(fleet backends) modeled device "
+                                      "count (default 2)", mixed=True)
     explain.add_argument("--top", type=int, default=10, metavar="N",
                          help="kernels/movers to show (default 10)")
-    explain.add_argument("--json", metavar="PATH",
-                         help="write the repro.explain/1 report "
-                              "('-' = stdout)")
+    _add_json_argument(explain, "the repro.explain/1 report")
     explain.add_argument("--flamegraph", metavar="PATH",
                          help="write a collapsed-stack flamegraph "
                               "(flamegraph.pl / inferno compatible)")
@@ -1546,9 +1377,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run with tracing on: Perfetto trace + telemetry + ASCII timeline",
     )
-    _add_data_arguments(trace)
-    _add_param_arguments(trace)
-    trace.add_argument("--backend", choices=sorted(BACKENDS), default="gpu-fast")
+    _add_run_arguments(trace)
     trace.add_argument("--out", metavar="DIR", default="trace_out",
                        help="output directory (default trace_out)")
     trace.add_argument("--label", default="",
@@ -1583,16 +1412,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sanitize.add_argument("--seed", type=int, default=0,
                           help="input-generation seed (default 0)")
-    sanitize.add_argument("--json", metavar="PATH",
-                          help="also write the structured report as JSON")
+    _add_json_argument(sanitize, "the structured report")
     sanitize.set_defaults(func=_cmd_sanitize)
 
     chaos = sub.add_parser(
         "chaos",
         help="fault-injection sweep: each fault class x each GPU backend",
     )
-    _add_data_arguments(chaos)
-    _add_param_arguments(chaos)
+    _add_run_arguments(chaos, backends=())
     chaos.add_argument(
         "--backends", nargs="+", metavar="NAME",
         choices=sorted(
@@ -1601,10 +1428,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=["gpu", "gpu-fast", "gpu-fast-star"],
         help="GPU backends to sweep (default: gpu gpu-fast gpu-fast-star)",
     )
-    chaos.add_argument(
-        "--fault", action="append", metavar="SPEC",
-        help="custom fault spec 'kind[@site][#at[+count|+*]][?prob]' "
-             "(repeatable; replaces the default per-class sweep)",
+    _add_resilience_arguments(
+        chaos, fault_help="replaces the default per-class sweep",
+        record_help="any contract violation or terminal failure",
     )
     chaos.add_argument(
         "--fleet", action="store_true",
@@ -1612,23 +1438,8 @@ def build_parser() -> argparse.ArgumentParser:
              "stage and require the bit-identical solo clustering after "
              "re-sharding (fleet-* backends only)",
     )
-    chaos.add_argument(
-        "--devices", type=int, default=3,
-        help="fleet size for --fleet (default 3)",
-    )
-    chaos.add_argument(
-        "--max-retries", type=int, default=3,
-        help="transient-error retries per ladder rung (default 3)",
-    )
-    chaos.add_argument(
-        "--json", metavar="PATH",
-        help="write the structured event log as JSON ('-' = stdout)",
-    )
-    chaos.add_argument(
-        "--record-dir", metavar="DIR",
-        help="run under a flight recorder; dump a postmortem bundle "
-             "there on any contract violation or terminal failure",
-    )
+    _add_devices_argument(chaos, 3, "fleet size for --fleet (default 3)")
+    _add_json_argument(chaos, "the structured event log")
     chaos.set_defaults(func=_cmd_chaos, n=4000, d=12, clusters=5, k=6, l=4)
 
     claims = sub.add_parser(
@@ -1653,9 +1464,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="service worker threads (default 2)")
     serve.add_argument("--gpu", choices=sorted(GPU_SPECS), default="gtx1660ti",
                        help="modeled card for capacity decisions")
-    serve.add_argument("--devices", type=int, default=None,
-                       help="serve against a fleet of this many modeled "
-                            "cards (fleet-* requests shard across them)")
+    _add_devices_argument(serve, None, "serve against a fleet of this many "
+                                       "modeled cards (fleet-* requests "
+                                       "shard across them)")
     serve.add_argument("--cache-entries", type=int, default=64,
                        help="result-cache capacity (0 disables; default 64)")
     serve.add_argument("--once", action="store_true",
@@ -1670,25 +1481,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write live monitoring output (event log, "
                             "Prometheus scrape, health.json) here; flushed "
                             "on exit and on SIGTERM")
-    serve.add_argument("--record-dir", metavar="DIR",
-                       help="run under a flight recorder; terminal failures "
-                            "and SIGTERM dump a postmortem bundle here "
-                            "(inspect with 'repro postmortem DIR')")
+    _add_resilience_arguments(
+        serve, fault_help="injected into served jobs, e.g. device-down@dev1",
+        record_help="terminal failures and SIGTERM",
+    )
     serve.add_argument("--record-capacity", type=int, default=256,
                        help="flight-recorder ring capacity per stream "
                             "(default 256)")
-    serve.add_argument("--fault", action="append", metavar="SPEC",
-                       help="inject faults into served jobs: "
-                            "'kind[@site][#at[+count|+*]][?prob]' "
-                            "(repeatable; e.g. device-down@dev1)")
     serve.add_argument("--fault-seed", type=int, default=0,
                        help="fault-injector seed (default 0)")
     serve.add_argument("--no-degrade", action="store_true",
                        help="forbid degradation: capacity errors and "
                             "exhausted retries fail the job instead of "
                             "stepping down the ladder")
-    serve.add_argument("--max-retries", type=int, default=None,
-                       help="transient-error retries per ladder rung")
     serve.add_argument("--max-reshards", type=int, default=None,
                        help="cap within-rung fleet re-shards after device "
                             "loss (0 makes any loss terminal)")
@@ -1698,10 +1503,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="drop one clustering request into a spool directory"
     )
     submit.add_argument("spool", help="spool directory (created if missing)")
-    _add_data_arguments(submit)
-    _add_param_arguments(submit)
-    submit.add_argument("--backend", choices=sorted(BACKENDS),
-                        default="gpu-fast")
+    _add_run_arguments(submit)
     submit.add_argument("--npy", metavar="PATH",
                         help="cluster this saved array instead of "
                              "synthetic data")
@@ -1749,8 +1551,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="modeled card (default gtx1660ti)")
     loadgen.add_argument("--timeline", action="store_true",
                          help="print the queue/occupancy lanes")
-    loadgen.add_argument("--json", metavar="PATH",
-                         help="write the serve-bench report here")
+    _add_json_argument(loadgen, "the serve-bench report")
     loadgen.add_argument("--monitor-dir", metavar="DIR",
                          help="also write live monitoring output here "
                               "(inspect with 'repro monitor DIR --once')")
@@ -1769,10 +1570,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bundle file, or a directory holding postmortem-*.json "
              "(newest wins)",
     )
-    postmortem.add_argument(
-        "--json", metavar="PATH",
-        help="write the forensic analysis as JSON ('-' = stdout)",
-    )
+    _add_json_argument(postmortem, "the forensic analysis")
     postmortem.add_argument(
         "--replay", action="store_true",
         help="deterministically re-execute the recorded job from the "
@@ -1793,7 +1591,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     exhausted recovery — exit with code 2 and a one-line actionable
     message; ``--strict`` re-raises them instead.  An interrupted run
     exits 130 (the conventional SIGINT code).
+
+    ``--json PATH`` writes the payload a handler returns after its text;
+    with ``--json -`` the text goes to stderr and stdout holds exactly
+    one JSON document.
     """
+    import contextlib
     import os
 
     parser = build_parser()
@@ -1805,8 +1608,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         from .obs import FlightRecorder, set_current_recorder
 
         set_current_recorder(FlightRecorder(bundle_dir=record_dir))
+    json_path = getattr(args, "json", None)
     try:
-        return args.func(args)
+        with (contextlib.redirect_stdout(sys.stderr) if json_path == "-"
+              else contextlib.nullcontext()):
+            outcome = args.func(args)
+        code, payload = (
+            outcome if isinstance(outcome, tuple) else (outcome, None)
+        )
+        if json_path and payload is not None:
+            _write_json(payload, json_path)
+        return code
     except KeyboardInterrupt:
         print("repro: interrupted", file=sys.stderr)
         return 130

@@ -22,8 +22,6 @@ of the bench.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -36,8 +34,7 @@ from ..params import ProclusParams
 from .fleet import Fleet, default_fleet
 from .model import FleetModel, fleet_report
 
-__all__ = ["FLEET_BENCH_SCHEMA", "DEFAULT_DEVICES", "run_fleet_bench",
-           "write_fleet_bench"]
+__all__ = ["FLEET_BENCH_SCHEMA", "DEFAULT_DEVICES", "run_fleet_bench"]
 
 #: ``BENCH_fleet.json`` schema (bump on incompatible changes).
 FLEET_BENCH_SCHEMA = "repro.fleet_bench/1"
@@ -146,15 +143,6 @@ def run_fleet_bench(
         },
         "backends": out_backends,
     }
-
-
-def write_fleet_bench(payload: dict[str, Any], path: str | Path) -> Path:
-    """Write the bench payload as pretty JSON; returns the path."""
-    path = Path(path)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
 
 
 def render_fleet_bench(payload: dict[str, Any]) -> str:

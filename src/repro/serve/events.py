@@ -4,18 +4,27 @@ Every lifecycle transition of a request — submission, admission or
 rejection, dedupe/cache-hit short-circuits, group coalescing, start,
 completion, cache eviction — appends one :class:`ServeEvent` carrying
 the queue and running depths *at that moment*, so the event stream is a
-complete step-function record of service occupancy over time.
-:func:`repro.viz.timeline.render_serve_lanes` renders it as ASCII
-lanes; the loadgen report embeds it as plain dicts.
+step-function record of service occupancy over time.  The log keeps
+the last :data:`SERVE_LOG_CAPACITY` events.
+:func:`repro.viz.timeline.render_serve_lanes` renders that tail as
+ASCII lanes; the loadgen report embeds it as plain dicts.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
-__all__ = ["EVENT_COUNTERS", "EVENT_KINDS", "ServeEvent", "ServeLog"]
+__all__ = [
+    "EVENT_COUNTERS", "EVENT_KINDS", "SERVE_LOG_CAPACITY", "ServeEvent",
+    "ServeLog",
+]
+
+#: Events a :class:`ServeLog` keeps; older ones are dropped and counted,
+#: so a long-lived service holds a bounded tail.
+SERVE_LOG_CAPACITY = 4096
 
 #: Every event kind the service emits, in rough lifecycle order, with
 #: the counters each adds one to.  A ``{detail}`` name expands to the
@@ -74,18 +83,22 @@ class ServeEvent:
 
 
 class ServeLog:
-    """Thread-safe, append-only list of :class:`ServeEvent`."""
+    """Thread-safe tail of the last :data:`SERVE_LOG_CAPACITY` events."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._events: list[ServeEvent] = []
+        self._events: deque[ServeEvent] = deque(maxlen=SERVE_LOG_CAPACITY)
+        #: Events pushed out of the tail so far.
+        self.dropped = 0
 
     def record(self, event: ServeEvent) -> None:
         with self._lock:
+            if len(self._events) == self._events.maxlen:
+                self.dropped += 1
             self._events.append(event)
 
     def snapshot(self) -> list[ServeEvent]:
-        """A copy of the events recorded so far."""
+        """A copy of the retained events, oldest first."""
         with self._lock:
             return list(self._events)
 

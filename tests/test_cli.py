@@ -236,6 +236,9 @@ class TestProfileJson:
         assert code == 0
         payload = json.loads(out)
         assert payload["schema"] == "repro.kernel_profile/1"
+        from repro.obs import validate_bench_report
+
+        assert validate_bench_report(payload, "repro.kernel_profile/1") == []
         assert payload["backend"] == "gpu-fast"
         assert payload["kernels"]
         assert {"name", "calls", "bound_by", "share"} <= set(payload["kernels"][0])

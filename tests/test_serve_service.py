@@ -460,3 +460,35 @@ class TestServiceFacts:
             assert served.cost == solo.cost
             assert served.stats.modeled_seconds == solo.stats.modeled_seconds
             assert served.stats.counters == solo.stats.counters
+
+
+class TestServeLogTail:
+    """A long-lived service keeps only the last SERVE_LOG_CAPACITY events."""
+
+    @staticmethod
+    def _serve_ten(data):
+        with ClusterService(workers=1, cache_entries=4) as service:
+            for i in range(10):
+                service.submit(
+                    data, params=ProclusParams(k=3, l=2 + i % 3, a=20, b=4)
+                ).result(timeout=120)
+                service.drain()
+            counters = service.stats()["counters"]
+            return service.log.snapshot(), service.log.dropped, counters
+
+    def test_tail_and_dropped_count(self, small_dataset, monkeypatch):
+        import repro.serve.events as events
+
+        data, _ = small_dataset
+        full, dropped, _ = self._serve_ten(data)
+        assert dropped == 0 and len(full) > 8
+        monkeypatch.setattr(events, "SERVE_LOG_CAPACITY", 8)
+        tail, dropped, counters = self._serve_ten(data)
+        assert counters["serve.requests"] == 10
+        assert len(tail) == 8
+        assert dropped == len(full) - 8
+
+        def key(event):
+            return event.kind, event.job_id, event.detail
+
+        assert [key(e) for e in tail] == [key(e) for e in full[-8:]]
