@@ -349,7 +349,7 @@ def _cmd_bench(args: argparse.Namespace) -> Outcome:
             print(run.report.render())
         if args.out:
             print(f"\nartifacts written to {args.out}")
-        return 0
+        return 0, {"experiments": [run.report.to_dict() for run in runs]}
     report = EXPERIMENTS[args.experiment]()
     print(report.render())
     if args.plot:
@@ -796,13 +796,26 @@ def _fleet_contract(outcome, rungs: list[str]) -> tuple[dict, bool]:
     return {"resharded": resharded}, recovered
 
 
+def _custom_fleet_contract(outcome, rungs: list[str]) -> tuple[dict, bool]:
+    """A user's schedule need not cost a member: recovered = re-sharded
+    within the fleet rung, or stayed on the documented ladder."""
+    resharded = any(event.kind == "reshard" for event in outcome.events)
+    along_ladder = _along_ladder(outcome, rungs)
+    return (
+        {"resharded": resharded, "along_ladder": along_ladder},
+        resharded or along_ladder,
+    )
+
+
 def _cmd_chaos(args: argparse.Namespace) -> Outcome:
     """Fault-injection sweep; exit 1 if any run breaks its contract.
 
     Solo mode sweeps fault class x backend; ``--fleet`` sweeps device x
-    stage, killing one fleet member per run.  Every run must fire its
-    fault, end bit-identical to the fault-free solo clustering, and
-    recover as its mode's contract demands.
+    stage, killing one fleet member per run.  In either mode ``--fault``
+    replaces the sweep with one ``custom`` scenario running the given
+    schedule.  Every run must fire its fault, end bit-identical to the
+    fault-free solo clustering, and recover as its mode's contract
+    demands (a custom fleet schedule: re-shard or stay on the ladder).
     """
     from dataclasses import asdict
 
@@ -823,17 +836,21 @@ def _cmd_chaos(args: argparse.Namespace) -> Outcome:
         ] or ["fleet-gpu-fast", "fleet-gpu"]
         key, contract = "scenario", _fleet_contract
         device_keys = {"devices": args.devices}
-        scenarios = {
-            f"down-dev{device}@{stage}": (f"device-down@dev{device}#{at}",)
-            for device in range(args.devices)
-            for stage, at in FLEET_CHAOS_AT.items()
-        }
-        engine_kwargs = {"fleet": _build_fleet(args)}
         runs, contract_name = "device-loss", "bit-identical-after-recovery"
+        if args.fault:
+            scenarios = {"custom": tuple(args.fault)}
+            contract, runs = _custom_fleet_contract, "injected"
+        else:
+            scenarios = {
+                f"down-dev{device}@{stage}": (f"device-down@dev{device}#{at}",)
+                for device in range(args.devices)
+                for stage, at in FLEET_CHAOS_AT.items()
+            }
+        engine_kwargs = {"fleet": _build_fleet(args)}
         held = ("recovered with the solo clustering (re-sharding within "
                 "the fleet or degrading along the ladder)")
         print(f"fleet chaos sweep: {len(backends)} backend(s) x "
-              f"{args.devices} device(s) x {len(FLEET_CHAOS_AT)} stage(s), "
+              f"{len(scenarios)} scenario(s) on {args.devices} device(s), "
               f"{shape}")
     else:
         backends = args.backends

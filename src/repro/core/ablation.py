@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import EngineBase
-from .distance import abs_diff_dim_sums, euclidean_to_point
+from .distance import abs_diff_dim_sums
 from .state import MedoidCache
 
 __all__ = ["FastDistOnlyEngine", "FastHOnlyEngine"]
@@ -55,7 +55,7 @@ class FastDistOnlyEngine(EngineBase):
 
         missing = mcur[~cache.dist_found[mcur]]
         for mi in missing:
-            cache.dist[mi] = euclidean_to_point(data, data[self._medoid_ids[mi]])
+            cache.dist[mi] = self._distance_row(data[self._medoid_ids[mi]])
         self._account_distance_rows(len(missing), n, d)
         cache.dist_found[missing] = True
 
@@ -113,7 +113,7 @@ class FastHOnlyEngine(EngineBase):
         # Distances recomputed from scratch for all current medoids —
         # but stored per potential medoid so DeltaL can be derived.
         for mi in mcur:
-            cache.dist[mi] = euclidean_to_point(data, data[self._medoid_ids[mi]])
+            cache.dist[mi] = self._distance_row(data[self._medoid_ids[mi]])
         self._account_distance_rows(k, n, d)
 
         medoid_dist = cache.dist[mcur][:, medoid_ids]

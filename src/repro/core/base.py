@@ -32,10 +32,10 @@ from ..obs.tracer import Tracer, current_tracer
 from ..params import ProclusParams
 from ..result import OUTLIER_LABEL, ProclusResult, RunStats
 from ..rng import RandomSource
-from .distance import abs_diff_dim_sums, euclidean_to_point
+from .distance import abs_diff_dim_sums, euclidean_to_point_columns, to_columns
 from .greedy import greedy_select
 from .phases import (
-    assign_points,
+    assign_points_columns,
     cluster_sizes_from_labels,
     compute_bad_medoids,
     evaluate_clusters,
@@ -287,10 +287,11 @@ class EngineBase(abc.ABC):
     # Every primitive is row-local over the n points, so a sharded
     # override may compute per-shard pieces and concatenate (rows) or
     # merge exact partial sums (dim sums) and remain bit-identical to
-    # the solo implementation.
+    # the solo implementation.  Distance rows and assignment read the
+    # fit's column-major copy ``self._columns`` (repro.core.distance).
     def _distance_row(self, point: np.ndarray) -> np.ndarray:
         """Euclidean distances from every data point to ``point``."""
-        return euclidean_to_point(self._data, point)
+        return euclidean_to_point_columns(self._columns, point)
 
     def _dim_sums(self, mask: np.ndarray, point: np.ndarray) -> np.ndarray:
         """Per-dimension |x - point| sums over ``data[mask]`` (exact)."""
@@ -300,7 +301,7 @@ class EngineBase(abc.ABC):
         self, medoid_points: np.ndarray, dims: list
     ) -> tuple[np.ndarray, np.ndarray]:
         """Assign every point to its nearest medoid's subspace."""
-        return assign_points(self._data, medoid_points, dims)
+        return assign_points_columns(self._columns, medoid_points, dims)
 
     def _evaluate_clusters(self, labels: np.ndarray, dims: list) -> float:
         """Average within-cluster subspace deviation (Definition 1)."""
@@ -323,6 +324,7 @@ class EngineBase(abc.ABC):
         p = self.params
         p.validate_against_data(n, d)
         self._data = data
+        self._columns = to_columns(data)
         obs = self._tracer if self._tracer is not None else current_tracer()
         self._obs = obs
         with obs.span(

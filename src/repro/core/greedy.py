@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ParameterError
-from .distance import euclidean_to_point
+from .distance import euclidean_to_point_columns, to_columns
 
 __all__ = ["greedy_select"]
 
@@ -50,10 +50,13 @@ def greedy_select(sample: np.ndarray, count: int, seed_index: int) -> np.ndarray
 
     chosen = np.empty(count, dtype=np.int64)
     chosen[0] = seed_index
+    columns = to_columns(sample)
     # Distance from every sample point to its closest chosen medoid.
-    min_dist = euclidean_to_point(sample, sample[seed_index])
+    min_dist = euclidean_to_point_columns(columns, sample[seed_index])
     for i in range(1, count):
         nxt = int(np.argmax(min_dist))  # ties -> lowest index
         chosen[i] = nxt
-        np.minimum(min_dist, euclidean_to_point(sample, sample[nxt]), out=min_dist)
+        np.minimum(
+            min_dist, euclidean_to_point_columns(columns, sample[nxt]), out=min_dist
+        )
     return chosen

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distance import segmental_distances
+from .distance import segmental_distances, segmental_distances_columns, to_columns
 
 __all__ = [
     "find_dimensions",
     "assign_points",
+    "assign_points_columns",
     "evaluate_clusters",
     "compute_bad_medoids",
     "find_outliers",
@@ -77,22 +78,32 @@ def find_dimensions(x: np.ndarray, l: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def assign_points(
-    data: np.ndarray,
+def assign_points_columns(
+    columns: np.ndarray,
     medoid_points: np.ndarray,
     dimensions: tuple[tuple[int, ...], ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assign each point to the medoid with the smallest Manhattan
     segmental distance within that medoid's subspace.
 
-    Returns ``(labels, seg)`` where ``labels`` is the ``(n,)`` cluster
-    assignment (ties -> lowest cluster index) and ``seg`` the ``(n, k)``
-    segmental-distance matrix, which the refinement phase reuses for
-    outlier detection.
+    ``columns`` is the ``(d, n)`` column-major data (see
+    :mod:`repro.core.distance`).  Returns ``(labels, seg)`` where
+    ``labels`` is the ``(n,)`` cluster assignment (ties -> lowest
+    cluster index) and ``seg`` the ``(n, k)`` segmental-distance matrix,
+    which the refinement phase reuses for outlier detection.
     """
-    seg = segmental_distances(data, medoid_points, dimensions)
+    seg = segmental_distances_columns(columns, medoid_points, dimensions)
     labels = np.argmin(seg, axis=1).astype(np.int64)
     return labels, seg
+
+
+def assign_points(
+    data: np.ndarray,
+    medoid_points: np.ndarray,
+    dimensions: tuple[tuple[int, ...], ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major adapter of :func:`assign_points_columns`."""
+    return assign_points_columns(to_columns(data), medoid_points, dimensions)
 
 
 def cluster_sizes_from_labels(labels: np.ndarray, k: int) -> np.ndarray:
@@ -119,13 +130,22 @@ def evaluate_clusters(
     """
     n = data.shape[0]
     k = len(dimensions)
+    # One stable sort lays every cluster's members out as a contiguous
+    # run of ``order`` in ascending row order, so each member array is
+    # the one a ``labels == i`` mask would select: the centroid-relative
+    # sums below are order-sensitive (see repro.core.distance).  Labels
+    # outside [0, k) clip to -1 or k, which no cluster reads; the
+    # narrowest signed key holding [-1, k] makes the sort a radix sort.
+    key = np.clip(labels, -1, k).astype(np.min_scalar_type(-k - 1))
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[order], np.arange(k + 1))
     total = 0.0
     for i in range(k):
-        dims = list(dimensions[i])
-        members = data[labels == i][:, dims]
-        size = members.shape[0]
+        size = int(bounds[i + 1] - bounds[i])
         if size == 0:
             continue
+        rows = data.take(order[bounds[i] : bounds[i + 1]], axis=0)
+        members = rows[:, list(dimensions[i])]
         centroid = np.sum(members, axis=0, dtype=np.float64) / size
         v = np.sum(np.abs(members - centroid), axis=0, dtype=np.float64) / size
         w = float(v.mean())

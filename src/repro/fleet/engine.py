@@ -6,9 +6,10 @@ math hooks of :class:`~repro.core.base.EngineBase` through the shard
 partition:
 
 * distance rows and point assignment are computed per shard on that
-  shard's contiguous row range and concatenated in device order — both
-  are per-row operations, so the concatenation is bit-identical to the
-  solo computation;
+  shard's contiguous point range — the column slice
+  ``columns[:, start:stop]`` of the fit's column-major copy — and
+  concatenated in device order; both are per-point operations, so the
+  concatenation is bit-identical to the solo computation;
 * the per-dimension sums (``H`` / ``X``) are computed per shard and
   merged with :func:`~repro.fleet.partition.tree_merge`; under the
   exact-accumulation invariant of :mod:`repro.core.distance` the merged
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.distance import abs_diff_dim_sums, euclidean_to_point
-from ..core.phases import assign_points
+from ..core.distance import abs_diff_dim_sums, euclidean_to_point_columns
+from ..core.phases import assign_points_columns
 from ..exceptions import ParameterError
 from ..gpu_impl.accounting import F32, GpuEngineMixin
 from ..gpu_impl.gpu_fast import GpuFastProclusEngine
@@ -134,8 +135,8 @@ class FleetEngineMixin(GpuEngineMixin):
         out = np.empty(self._data.shape[0], dtype=np.float32)
         for start, stop in self._plan.ranges():
             if stop > start:
-                out[start:stop] = euclidean_to_point(
-                    self._data[start:stop], point
+                out[start:stop] = euclidean_to_point_columns(
+                    self._columns[:, start:stop], point
                 )
         return out
 
@@ -156,8 +157,8 @@ class FleetEngineMixin(GpuEngineMixin):
         seg_parts = []
         for start, stop in self._plan.ranges():
             if stop > start:
-                labels_part, seg_part = assign_points(
-                    self._data[start:stop], medoid_points, dims
+                labels_part, seg_part = assign_points_columns(
+                    self._columns[:, start:stop], medoid_points, dims
                 )
                 labels_parts.append(labels_part)
                 seg_parts.append(seg_part)

@@ -59,8 +59,18 @@ def _small_fleet_bench(monkeypatch):
     ))
 
 
+def _one_experiment(monkeypatch):
+    import repro.bench.runner as runner
+    from repro.cli import EXPERIMENTS
+
+    monkeypatch.setattr(
+        runner, "ALL_EXPERIMENTS", {"sec54": EXPERIMENTS["sec54"]}
+    )
+
+
 #: Every JSON-emitting subcommand at the smallest input it allows.
 JSON_COMMANDS = {
+    "bench-all": (("bench", "all"), _one_experiment),
     "bench-quick": (("bench", "quick"), _one_quick_workload),
     "bench-fleet": (("bench", "fleet", "--devices", "1", "2"),
                     _small_fleet_bench),
@@ -171,3 +181,41 @@ class TestFleetChaosRecorder:
         assert code == 0
         assert "all 2 device-loss runs recovered" in capsys.readouterr().out
         assert not list(record.glob("postmortem-*.json"))
+
+
+class TestBenchAllJson:
+    def test_payload_holds_every_report(self, capsys, monkeypatch):
+        from repro.cli import EXPERIMENTS
+
+        _one_experiment(monkeypatch)
+        assert main(["bench", "all", "--json", "-"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        expected = EXPERIMENTS["sec54"]().to_dict()
+        assert payload == json.loads(json.dumps(
+            {"experiments": [expected]}, default=str
+        ))
+
+
+class TestFleetChaosCustomFault:
+    @pytest.mark.parametrize("spec", ["device-down@dev1#4", "transient@*#2"])
+    def test_the_given_schedule_fires(self, spec, capsys):
+        code = main([
+            "chaos", "--fleet", "--devices", "2", *SMALL,
+            "--backends", "fleet-gpu-fast", "--fault", spec, "--json", "-",
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        [row] = payload["rows"]
+        assert row["scenario"] == "custom"
+        assert row["schedule"] == [spec]
+        assert row["fired"] >= 1
+        assert [record["spec"] for record in row["injected"]] == [spec]
+        assert row["identical"] and row["ok"]
+
+    def test_a_schedule_that_never_fires_fails(self, capsys):
+        code = main([
+            "chaos", "--fleet", "--devices", "2", *SMALL,
+            "--backends", "fleet-gpu-fast", "--fault", "oom@nowhere",
+        ])
+        assert code == 1
+        assert "1/1 injected runs violated" in capsys.readouterr().out
